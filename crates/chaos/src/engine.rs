@@ -190,7 +190,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let serve_cfg = ServeConfig {
         queue_depth: cfg.queue_depth,
         max_batch: cfg.max_batch,
-        max_wait: Duration::from_micros(300),
         workers: cfg.workers,
         default_deadline: None,
         simulate_accel: false,

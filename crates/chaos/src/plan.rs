@@ -96,7 +96,7 @@ pub struct ChaosConfig {
     pub via_net: bool,
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Micro-batcher cap.
+    /// Batch-size cap (`ServeConfig::max_batch`).
     pub max_batch: usize,
     /// Admission queue depth.
     pub queue_depth: usize,

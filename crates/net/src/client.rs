@@ -90,22 +90,37 @@ impl NetClient {
     /// caller-chosen id that is already in flight on this connection
     /// (both [`ServeError::BadInput`]).
     pub fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError> {
+        let (reply, handle) = ResponseHandle::channel();
+        self.submit_to(req, reply)?;
+        Ok(handle)
+    }
+
+    /// [`submit`](Self::submit), resolving `reply` instead of returning a
+    /// handle: the background reader resolves it when the server answers.
+    /// A submit-time failure resolves `reply` with the error it returns.
+    pub fn submit_to(&self, req: InferRequest, reply: ResponseSender) -> Result<(), ServeError> {
+        let refuse = |e: ServeError| {
+            reply.send(Err(e.clone()));
+            Err(e)
+        };
         let id = match req.id {
             Some(id) => id,
             None => self.next_id(),
         };
         let frame = RequestFrame::from_request(id, req);
-        let bytes = encode_request(&frame)
-            .map_err(|e| ServeError::BadInput(format!("unencodable request: {e}")))?;
-        let (tx, handle) = ResponseHandle::channel();
+        let bytes = match encode_request(&frame) {
+            Ok(bytes) => bytes,
+            Err(e) => return refuse(ServeError::BadInput(format!("unencodable request: {e}"))),
+        };
         {
             let mut pending = lock(&self.pending);
             if pending.contains_key(&id) {
-                return Err(ServeError::BadInput(format!(
+                drop(pending);
+                return refuse(ServeError::BadInput(format!(
                     "request id {id} is already in flight on this connection"
                 )));
             }
-            pending.insert(id, tx);
+            pending.insert(id, reply.clone());
         }
         // Registered before the write, so a fast response cannot race the
         // bookkeeping. On a write failure the registration is rolled back.
@@ -115,7 +130,7 @@ impl NetClient {
         };
         if !write_ok {
             lock(&self.pending).remove(&id);
-            return Err(ServeError::ShuttingDown);
+            return refuse(ServeError::ShuttingDown);
         }
         // The write can succeed into a socket whose reader has already
         // exited (the OS buffers it; the death is only visible on the read
@@ -127,9 +142,9 @@ impl NetClient {
         // and nobody will ever resolve it — take it back and fail typed,
         // exactly like a failed write, so no waiter can hang.
         if !self.reader_alive.load(Ordering::SeqCst) && lock(&self.pending).remove(&id).is_some() {
-            return Err(ServeError::ShuttingDown);
+            return refuse(ServeError::ShuttingDown);
         }
-        Ok(handle)
+        Ok(())
     }
 
     /// Submit and block for the answer.
@@ -165,8 +180,8 @@ impl Drop for NetClient {
 }
 
 impl LoadTarget for NetClient {
-    fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError> {
-        NetClient::submit(self, req)
+    fn submit_to(&self, req: InferRequest, reply: ResponseSender) -> Result<(), ServeError> {
+        NetClient::submit_to(self, req, reply)
     }
 }
 

@@ -19,8 +19,10 @@
 //!   variant plus transport-level rejections. Decoding validates the
 //!   declared length *before* allocating and never panics on hostile
 //!   input.
-//! * [`NetServer`] — accept loop with a connection cap, one reader and
-//!   one writer thread per connection, typed error frames for admission
+//! * [`NetServer`] — accept loop with a connection cap and `TCP_NODELAY`
+//!   on every accepted stream, one reader and one writer thread per
+//!   connection (each request's reply callback pushes its outcome
+//!   straight to the writer), typed error frames for admission
 //!   rejections and protocol violations, graceful drain (stop accepting,
 //!   answer everything in flight, then shut the inner server down).
 //!   Connection, byte, and frame counters stream into the server's

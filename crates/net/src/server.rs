@@ -1,40 +1,49 @@
 //! The TCP front-end: accept loop, per-connection threads, graceful drain.
 //!
 //! ```text
-//!   accept thread ──► per-connection reader ──► Server::submit
-//!        │                   │                        │ ResponseHandle
-//!        │ (cap check,       ▼                        ▼
-//!        │  drain flag)   event channel ──► per-connection writer
-//!        │                                  (polls in-flight handles,
-//!        │                                   writes completions in the
-//!        ▼                                   order they FINISH — no
-//!   connection registry                      head-of-line blocking)
+//!   accept thread ──► per-connection reader ──► Server::submit_to
+//!        │                   │ (typed error        │ reply callback, run by
+//!        │ (cap check,       │  frames on          │ the worker that served
+//!        │  drain flag,      │  protocol           │ the request or by
+//!        │  TCP_NODELAY)     ▼  failure)           ▼ admission on reject
+//!        │                 event channel ◄─────────┘
+//!        ▼                      │
+//!   connection registry         ▼
+//!                        per-connection writer (one blocking recv; writes
+//!                        replies in the order they COMPLETE — no
+//!                        head-of-line blocking)
 //! ```
 //!
-//! Each accepted connection gets a **reader** thread (decodes `ODQ1`
-//! frames, submits to the in-process [`Server`]) and a **writer** thread
-//! (owns the write half; answers requests as their handles resolve, so a
-//! slow request never delays a fast one submitted after it). Admission
-//! rejections travel back as typed error frames; a malformed, truncated,
-//! or oversized frame gets a typed error frame and closes the connection
-//! (framing cannot be resynchronized after a parse failure), releasing
-//! its connection slot.
+//! Each accepted connection gets `TCP_NODELAY` (small reply frames must
+//! not wait out a delayed ACK), a **reader** thread (decodes `ODQ1`
+//! frames, submits each request to the in-process [`Server`]), and a
+//! **writer** thread that owns the write half. Every request's reply is a
+//! callback that pushes its outcome straight into the connection's event
+//! channel, so the writer just blocks on that channel and writes each
+//! outcome as it arrives — a slow request never delays a fast one
+//! submitted after it. Admission rejections take the same path as typed
+//! error frames; a malformed, truncated, or oversized frame gets a typed
+//! error frame and closes the connection (framing cannot be
+//! resynchronized after a parse failure), releasing its connection slot.
+//! A write failure shuts the whole socket down, so the reader stops
+//! submitting work whose replies nobody can read.
 //!
 //! [`NetServer::shutdown`] drains gracefully: the accept loop stops, every
-//! open connection's read side is shut down (no new requests), writers
-//! answer everything still in flight, and only then is the inner server
-//! shut down and the final ledger summary returned.
+//! open connection's read side is shut down (no new requests), and each
+//! writer exits when its event channel disconnects — once the reader has
+//! stopped and every in-flight reply has been written or dropped. Only
+//! then is the inner server shut down and the final ledger summary
+//! returned.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use odq_serve::{NetTap, ResponseHandle, Server, StatsSummary};
+use odq_serve::{InferResponse, NetTap, ResponseSender, ServeError, Server, StatsSummary};
 
 use crate::wire::{
     self, encode_error, encode_response, ErrorFrame, Frame, ResponseFrame, WireError,
@@ -64,17 +73,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// What a connection's reader hands its writer.
+/// What a connection's writer is handed to put on the wire.
 enum Event {
-    /// A submitted request whose handle will resolve later. The bool is
-    /// whether the request carried `FLAG_TRACE` — only then does the
-    /// response frame echo the trace id (v1 clients keep seeing v1
-    /// response bodies).
-    Inflight(u64, bool, ResponseHandle),
-    /// A request rejected at admission: answer immediately.
-    Reject(ErrorFrame),
-    /// A connection-fatal protocol error: send it, finish the in-flight
-    /// work, and close.
+    /// A request's outcome, from its reply callback. The bool is whether
+    /// the request carried `FLAG_TRACE` — only then does the response
+    /// frame echo the trace id (v1 clients keep seeing v1 response
+    /// bodies).
+    Reply(u64, bool, Result<InferResponse, ServeError>),
+    /// A connection-fatal protocol error from the reader: send it, finish
+    /// the in-flight work, and close.
     Fatal(ErrorFrame),
 }
 
@@ -201,8 +208,8 @@ impl Drop for NetServer {
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usize) {
     let conn_seq = AtomicU64::new(0);
     loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
+        let stream = match accept_stream(&listener) {
+            Ok(s) => s,
             Err(_) => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     break;
@@ -258,11 +265,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usiz
     }
 }
 
+/// Accept the next connection and set it up for request/response
+/// traffic: `TCP_NODELAY`, so each small reply frame leaves at once
+/// instead of waiting out the peer's delayed ACK.
+fn accept_stream(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 fn handle_connection(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
     shared.tap.conn_opened();
-    let writer = stream.try_clone();
     let (ev_tx, ev_rx) = unbounded::<Event>();
-    let writer_thread = writer.ok().and_then(|w| {
+    let writer_thread = stream.try_clone().ok().and_then(|w| {
         let tap = shared.tap.clone();
         std::thread::Builder::new()
             .name(format!("odq-net-write-{conn_id}"))
@@ -270,11 +285,11 @@ fn handle_connection(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
             .ok()
     });
     if writer_thread.is_some() {
-        reader_loop(&stream, &shared, &ev_tx);
+        reader_loop(&stream, &shared, ev_tx);
     }
-    // Dropping the event sender lets the writer finish the in-flight
-    // requests and exit; only then is the connection accounted closed.
-    drop(ev_tx);
+    // The reader's sender is gone; the writer exits once every in-flight
+    // reply (each holding a sender) has been written or dropped. Only
+    // then is the connection accounted closed.
     if let Some(w) = writer_thread {
         let _ = w.join();
     }
@@ -283,166 +298,173 @@ fn handle_connection(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
     shared.tap.conn_closed();
 }
 
-fn reader_loop(stream: &TcpStream, shared: &Shared, ev_tx: &Sender<Event>) {
+fn reader_loop(stream: &TcpStream, shared: &Shared, ev_tx: Sender<Event>) {
     let mut reader = BufReader::new(stream);
+    let fatal = |code, message| {
+        shared.tap.protocol_error();
+        let _ = ev_tx.send(Event::Fatal(ErrorFrame { id: NO_REQUEST_ID, code, message }));
+    };
     loop {
         match wire::read_frame(&mut reader, &shared.limits) {
             Ok((Frame::Request(rf), n)) => {
                 shared.tap.frame_in(n as u64);
-                let id = rf.id;
-                let echo_trace = rf.trace.is_some();
-                let ev = match shared.server.submit(rf.into_request()) {
-                    Ok(handle) => Event::Inflight(id, echo_trace, handle),
-                    Err(e) => Event::Reject(ErrorFrame {
-                        id,
-                        code: WireErrorCode::from_serve_error(&e),
-                        message: e.to_string(),
-                    }),
-                };
-                if ev_tx.send(ev).is_err() {
-                    return;
-                }
+                let (id, echo_trace) = (rf.id, rf.trace.is_some());
+                let tx = ev_tx.clone();
+                let reply = ResponseSender::from_fn(move |r| {
+                    let _ = tx.send(Event::Reply(id, echo_trace, r));
+                });
+                // An admission rejection resolves the reply too, so it
+                // reaches the writer like any other outcome.
+                let _ = shared.server.submit_to(rf.into_request(), reply);
             }
             Ok((_, n)) => {
                 // Clients have no business sending Response/Error frames.
                 shared.tap.frame_in(n as u64);
-                shared.tap.protocol_error();
-                let _ = ev_tx.send(Event::Fatal(ErrorFrame {
-                    id: NO_REQUEST_ID,
-                    code: WireErrorCode::Malformed,
-                    message: "unexpected frame kind from client".into(),
-                }));
-                return;
+                return fatal(WireErrorCode::Malformed, "unexpected frame kind from client".into());
             }
-            // EOF (clean close or drain) and transport failures end the
-            // connection quietly.
+            // EOF (clean close, drain, or the writer's shutdown after a
+            // failed write) and transport failures end the connection
+            // quietly.
             Err(WireError::Io(_)) => return,
             Err(e) => {
-                shared.tap.protocol_error();
                 let code = match &e {
                     WireError::TooLarge { .. } => WireErrorCode::TooLarge,
                     _ => WireErrorCode::Malformed,
                 };
-                let _ = ev_tx.send(Event::Fatal(ErrorFrame {
-                    id: NO_REQUEST_ID,
-                    code,
-                    message: e.to_string(),
-                }));
-                return;
+                return fatal(code, e.to_string());
             }
         }
     }
 }
 
-/// How long the writer sleeps between in-flight polls when nothing is
-/// ready. The vendored channel library has no `select`, so completion
-/// order is discovered by polling each handle's `try_wait`.
-const POLL_IDLE: Duration = Duration::from_micros(100);
-
-fn writer_loop(stream: TcpStream, ev_rx: Receiver<Event>, tap: NetTap) {
-    let mut w = BufWriter::new(stream);
-    // In-flight requests, answered in the order they FINISH: a slow
-    // request never blocks a fast one behind it on the same connection.
-    // The bool is the request's trace-echo opt-in.
-    let mut inflight: Vec<(u64, bool, ResponseHandle)> = Vec::new();
-    let mut open = true;
-
-    let mut emit = |w: &mut BufWriter<TcpStream>, bytes: &[u8]| -> bool {
-        let ok = wire::write_frame(w, bytes).is_ok();
-        if ok {
-            tap.frame_out(bytes.len() as u64);
+/// Encode one event as frame bytes.
+fn encode_event(ev: Event) -> Vec<u8> {
+    let frame = match ev {
+        Event::Fatal(frame) => frame,
+        Event::Reply(id, echo_trace, Ok(resp)) => {
+            let frame = ResponseFrame {
+                id,
+                timing: resp.timing,
+                output: resp.output,
+                trace: if echo_trace { resp.trace } else { None },
+            };
+            match encode_response(&frame) {
+                Ok(bytes) => return bytes,
+                Err(e) => ErrorFrame {
+                    id,
+                    code: WireErrorCode::Internal,
+                    message: format!("response unencodable: {e}"),
+                },
+            }
         }
-        ok
+        Event::Reply(id, _, Err(e)) => {
+            ErrorFrame { id, code: WireErrorCode::from_serve_error(&e), message: e.to_string() }
+        }
     };
-
-    'conn: while open || !inflight.is_empty() {
-        // Block only when there is nothing to poll; otherwise drain
-        // whatever events are already queued and go back to polling.
-        if inflight.is_empty() && open {
-            match ev_rx.recv() {
-                Ok(ev) => {
-                    if !dispatch(ev, &mut inflight, &mut w, &mut emit) {
-                        break 'conn;
-                    }
-                }
-                Err(_) => {
-                    open = false;
-                    continue;
-                }
-            }
-        }
-        loop {
-            match ev_rx.try_recv() {
-                Ok(ev) => {
-                    if !dispatch(ev, &mut inflight, &mut w, &mut emit) {
-                        break 'conn;
-                    }
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    open = false;
-                    break;
-                }
-            }
-        }
-        // Answer every request whose handle has resolved.
-        let mut progressed = false;
-        let mut i = 0;
-        while i < inflight.len() {
-            match inflight[i].2.try_wait() {
-                Some(result) => {
-                    let (id, echo_trace, _) = inflight.swap_remove(i);
-                    progressed = true;
-                    let bytes = match result {
-                        Ok(resp) => {
-                            let frame = ResponseFrame {
-                                id,
-                                timing: resp.timing,
-                                output: resp.output,
-                                trace: if echo_trace { resp.trace } else { None },
-                            };
-                            encode_response(&frame).unwrap_or_else(|e| {
-                                encode_error(&ErrorFrame {
-                                    id,
-                                    code: WireErrorCode::Internal,
-                                    message: format!("response unencodable: {e}"),
-                                })
-                            })
-                        }
-                        Err(e) => encode_error(&ErrorFrame {
-                            id,
-                            code: WireErrorCode::from_serve_error(&e),
-                            message: e.to_string(),
-                        }),
-                    };
-                    if !emit(&mut w, &bytes) {
-                        break 'conn;
-                    }
-                }
-                None => i += 1,
-            }
-        }
-        if !progressed && !inflight.is_empty() {
-            std::thread::sleep(POLL_IDLE);
-        }
-    }
-    // A failed write means the peer is gone: remaining handles are
-    // dropped, the pipeline still completes those requests server-side.
+    encode_error(&frame)
 }
 
-/// Apply one reader event. Returns `false` when the connection is dead
-/// (write failure).
-fn dispatch(
-    ev: Event,
-    inflight: &mut Vec<(u64, bool, ResponseHandle)>,
-    w: &mut BufWriter<TcpStream>,
-    emit: &mut impl FnMut(&mut BufWriter<TcpStream>, &[u8]) -> bool,
-) -> bool {
-    match ev {
-        Event::Inflight(id, echo_trace, handle) => {
-            inflight.push((id, echo_trace, handle));
-            true
+/// Write each event as it arrives, in completion order.
+fn writer_loop(stream: TcpStream, ev_rx: Receiver<Event>, tap: NetTap) {
+    let mut w = BufWriter::new(&stream);
+    while let Ok(ev) = ev_rx.recv() {
+        if write_ready(&mut w, ev, &ev_rx, &tap).is_err() {
+            // The peer is gone. Shut the socket down in both directions so
+            // the reader sees EOF and stops submitting work whose replies
+            // nobody can read; replies still in flight are dropped.
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
-        Event::Reject(frame) | Event::Fatal(frame) => emit(w, &encode_error(&frame)),
+    }
+}
+
+/// Write `ev` and every event already queued behind it, then flush once.
+/// Frames are counted once flushed.
+fn write_ready(
+    w: &mut impl Write,
+    ev: Event,
+    ev_rx: &Receiver<Event>,
+    tap: &NetTap,
+) -> io::Result<()> {
+    let mut sizes = Vec::new();
+    let mut next = Some(ev);
+    while let Some(ev) = next {
+        let bytes = encode_event(ev);
+        w.write_all(&bytes)?;
+        sizes.push(bytes.len() as u64);
+        next = ev_rx.try_recv().ok();
+    }
+    w.flush()?;
+    for n in sizes {
+        tap.frame_out(n);
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odq_nn::models::{Model, ModelCfg};
+    use odq_serve::{EngineKind, InferRequest, ServeConfig};
+    use odq_tensor::Tensor;
+    use std::time::{Duration, Instant};
+
+    /// A connected loopback pair: (server side as accepted, peer side).
+    fn loopback() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (accept_stream(&listener).unwrap(), peer)
+    }
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let (accepted, _peer) = loopback();
+        assert!(accepted.nodelay().unwrap(), "replies must not wait out a delayed ACK");
+    }
+
+    #[test]
+    fn write_failure_shuts_the_socket_so_the_reader_stops() {
+        let mut cfg = ModelCfg::small(odq_nn::Arch::LeNet5, 4);
+        cfg.input_hw = 8;
+        let server = Server::builder(ServeConfig::default())
+            .engine(EngineKind::Float)
+            .model("lenet", Model::build(cfg))
+            .start();
+        let shared = Arc::new(Shared {
+            tap: server.net_tap(),
+            server: Arc::new(server),
+            limits: WireLimits::default(),
+            shutting_down: Arc::new(AtomicBool::new(false)),
+            conns: Mutex::new(HashMap::new()),
+            threads: Mutex::new(Vec::new()),
+        });
+        let (accepted, mut peer) = loopback();
+        // Every write on this connection fails: the writer's first reply
+        // is an EPIPE, as if the peer had gone away for reading.
+        accepted.shutdown(Shutdown::Write).unwrap();
+        let conn = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || handle_connection(0, accepted, shared)
+        });
+
+        // One request, then the peer keeps its socket open and sends
+        // nothing more: only the writer's shutdown can end the reader.
+        let input = Tensor::from_vec(vec![1, 3, 8, 8], vec![0.25; 3 * 64]);
+        let frame = wire::RequestFrame::from_request(1, InferRequest::new("lenet", input));
+        wire::write_frame(&mut peer, &wire::encode_request(&frame).unwrap()).unwrap();
+
+        let t0 = Instant::now();
+        while !conn.is_finished() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "reader kept reading a dead connection"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        conn.join().unwrap();
+        let net = shared.server.stats().net;
+        assert_eq!((net.connections_opened, net.connections_closed), (1, 1));
+        assert_eq!(net.frames_out, 0, "nothing reached the wire");
+        drop(peer);
     }
 }

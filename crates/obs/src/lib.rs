@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!             ┌───────────── odq-serve pipeline ─────────────┐
-//!   submit ──►│ queue ──► batcher ──► workers ──► scatter    │
+//!   submit ──►│ queue ──► worker takes batch ──► scatter     │
 //!             └──┬───────────┬──────────┬────────────┬───────┘
 //!     spans      ▼           ▼          ▼            ▼
 //!   (sampled) TraceBuffer ◄──────────────────────────┘    stats Ledger

@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use odq_serve::{SpanRecord, SpanStage, TraceSink};
 
-/// Shard count. A small fixed power of two: enough that the batcher, the
-/// submitters, and a handful of workers almost never collide on a lock,
+/// Shard count. A small fixed power of two: enough that the submitters
+/// and a handful of workers almost never collide on a lock,
 /// while a scrape still only has a few locks to take.
 const SHARDS: usize = 8;
 

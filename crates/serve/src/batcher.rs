@@ -1,29 +1,27 @@
-//! The micro-batcher: coalesces compatible requests into batches.
+//! Worker-pull batching: one bounded queue that free workers take from.
 //!
-//! One thread pulls admitted requests off the bounded submission queue and
-//! groups them by *batch key* — model name, deployment version, and input
-//! shape. The version is part of the key, so a hot swap or canary split
-//! never mixes two weight versions in one forward pass. A group is
-//! flushed to the worker pool when it reaches `max_batch`, when its oldest
-//! member has waited `max_wait`, or when the *earliest member deadline* is
-//! close enough that waiting any longer would risk missing it (a request
-//! whose deadline budget is shorter than the batching window must not sit
-//! out the full window only to expire — it is dispatched early instead).
-//! On shutdown (submission side disconnects) every remaining admitted
-//! request is flushed, so draining loses nothing.
+//! Admission pushes each request onto a single bounded FIFO. A worker
+//! that is free takes the *oldest* request plus up to `max_batch − 1`
+//! younger ones with the same *batch key* — model name, deployment
+//! version, and input shape — leaving every other request where it was.
+//! The version is part of the key, so a hot swap or canary split never
+//! mixes two weight versions in one forward pass.
+//!
+//! Nothing waits on a timer. At light load a request is taken the moment
+//! it arrives, alone; under backlog the requests that queued up while
+//! every worker was busy leave together in full batches. Batch size thus
+//! follows load without a batching window, and a request's deadline is
+//! never spent waiting for company. On shutdown [`Queue::close`] refuses
+//! new work while workers drain everything already admitted.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::config::ServeConfig;
 use crate::deploy::Deployment;
-use crate::request::{InferRequest, InferResponse, ServeError};
-use crate::stats::Ledger;
+use crate::request::{InferRequest, ResponseSender, ServeError};
 use crate::trace::{SpanRecord, SpanStage};
-use crate::worker::lock_ledger;
 
 /// An admitted request travelling through the pipeline, pinned to the
 /// deployment snapshot admission resolved for it — the version decision
@@ -32,16 +30,27 @@ pub(crate) struct Pending {
     pub req: InferRequest,
     /// The deployment (weights + plans) that will execute this request.
     pub dep: Arc<Deployment>,
-    pub resp: Sender<Result<InferResponse, ServeError>>,
+    pub resp: ResponseSender,
     pub enqueued: Instant,
     pub deadline: Option<Instant>,
     /// The request id admission resolved (caller-chosen or assigned).
     pub id: u64,
-    /// The request's trace id (caller-chosen or the request id).
+    /// The request's trace id (caller-chosen or a server-unique sequence
+    /// number).
     pub trace: u64,
     /// Whether the configured [`crate::trace::TraceSink`] sampled this
     /// trace — decided exactly once, at admission.
     pub traced: bool,
+}
+
+impl Pending {
+    /// Requests batch together iff they ask for the same model at the
+    /// same deployment version with the same input shape.
+    fn batches_with(&self, other: &Pending) -> bool {
+        self.dep.version == other.dep.version
+            && self.dep.name == other.dep.name
+            && self.req.input.dims() == other.req.input.dims()
+    }
 }
 
 /// Report one pipeline stage for every traced member of `items` to the
@@ -67,232 +76,226 @@ pub(crate) fn record_spans(
     }
 }
 
-impl Pending {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| d <= now)
-    }
+struct State {
+    items: VecDeque<Pending>,
+    closed: bool,
 }
 
-/// A flushed batch: same model, same deployment version, same input shape.
-pub(crate) struct Batch {
-    /// The deployment every item in this batch executes on.
-    pub dep: Arc<Deployment>,
-    pub items: Vec<Pending>,
+/// The bounded submission queue workers pull batches from.
+pub(crate) struct Queue {
+    state: Mutex<State>,
+    ready: Condvar,
+    capacity: usize,
 }
 
-/// Requests batch together iff they ask for the same model at the same
-/// deployment version with the same input shape.
-type BatchKey = (String, u64, Vec<usize>);
-
-/// When a forming group must flush: the oldest member's `max_wait` window,
-/// or earlier if any member's deadline demands it. A member with deadline
-/// `d` is dispatched no later than `d - max_wait`, reserving one batching
-/// window of slack for dispatch and execution — so a request whose
-/// deadline is shorter than `max_wait` flushes (effectively) immediately
-/// instead of waiting out a window it cannot survive.
-fn group_due(group: &[Pending], max_wait: Duration, now: Instant) -> Instant {
-    let mut due = match group.first() {
-        Some(p) => p.enqueued + max_wait,
-        None => return now + max_wait,
-    };
-    for p in group {
-        if let Some(d) = p.deadline {
-            let latest_dispatch = d.checked_sub(max_wait).unwrap_or(now);
-            due = due.min(latest_dispatch);
+impl Queue {
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            state: Mutex::new(State { items: VecDeque::new(), closed: false }),
+            ready: Condvar::new(),
+            capacity: capacity.max(1),
         }
     }
-    due
-}
 
-pub(crate) fn run(
-    rx: Receiver<Pending>,
-    batch_tx: Sender<Batch>,
-    cfg: ServeConfig,
-    ledger: Arc<Mutex<Ledger>>,
-) {
-    let mut groups: HashMap<BatchKey, Vec<Pending>> = HashMap::new();
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-    loop {
-        // Sleep at most until the earliest-due forming batch must flush
-        // (its max_wait window or an imminent member deadline).
-        let now = Instant::now();
-        let timeout = groups
-            .values()
-            .map(|g| group_due(g, cfg.max_wait, now).saturating_duration_since(now))
-            .min()
-            .unwrap_or(cfg.max_wait)
-            .max(Duration::from_micros(50));
+    /// Admit `p`, or refuse it with [`ServeError::QueueFull`] /
+    /// [`ServeError::ShuttingDown`]. `on_admit` runs under the queue lock
+    /// with the depth after the push, so admission is accounted before
+    /// any worker can take the request.
+    pub fn push(
+        &self,
+        p: Pending,
+        on_admit: impl FnOnce(&Pending, usize),
+    ) -> Result<(), ServeError> {
+        let mut st = self.lock();
+        if st.closed {
+            return Err(ServeError::ShuttingDown);
+        }
+        if st.items.len() >= self.capacity {
+            return Err(ServeError::QueueFull);
+        }
+        on_admit(&p, st.items.len() + 1);
+        st.items.push_back(p);
+        drop(st);
+        self.ready.notify_one();
+        Ok(())
+    }
 
-        match rx.recv_timeout(timeout) {
-            Ok(p) => {
-                if p.expired(Instant::now()) {
-                    reject_expired(p, &ledger);
-                } else {
-                    let key = (p.dep.name.clone(), p.dep.version, p.req.input.dims().to_vec());
-                    let group = groups.entry(key.clone()).or_default();
-                    group.push(p);
-                    if group.len() >= cfg.max_batch {
-                        let items = groups.remove(&key).expect("group just filled");
-                        flush(items, &batch_tx, &cfg, &ledger);
-                    }
-                }
+    /// Block until work is queued, then take the oldest request and up to
+    /// `max_batch − 1` more with its batch key, in arrival order. `None`
+    /// once the queue is closed and empty.
+    pub fn take(&self, max_batch: usize) -> Option<Vec<Pending>> {
+        let mut st = self.lock();
+        while st.items.is_empty() {
+            if st.closed {
+                return None;
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-
-        // Flush any group that has come due — oldest member waited out
-        // max_wait, or an earliest member deadline is imminent.
-        let now = Instant::now();
-        let due: Vec<BatchKey> = groups
-            .iter()
-            .filter(|(_, g)| now >= group_due(g, cfg.max_wait, now))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in due {
-            let items = groups.remove(&key).expect("key just listed");
-            flush(items, &batch_tx, &cfg, &ledger);
+        let first = st.items.pop_front().expect("non-empty");
+        let mut batch = vec![first];
+        let mut i = 0;
+        while batch.len() < max_batch && i < st.items.len() {
+            if st.items[i].batches_with(&batch[0]) {
+                batch.push(st.items.remove(i).expect("index in range"));
+            } else {
+                i += 1;
+            }
         }
+        Some(batch)
     }
 
-    // Shutdown drain: the submission side is gone; flush everything that
-    // was admitted so no response is lost.
-    for (_, items) in groups.drain() {
-        flush(items, &batch_tx, &cfg, &ledger);
+    /// Refuse further pushes and wake every waiting worker; requests
+    /// already queued are still taken.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
-}
 
-fn reject_expired(p: Pending, ledger: &Arc<Mutex<Ledger>>) {
-    lock_ledger(ledger).rejected_deadline += 1;
-    let _ = p.resp.send(Err(ServeError::DeadlineExceeded));
-}
-
-fn flush(
-    items: Vec<Pending>,
-    batch_tx: &Sender<Batch>,
-    cfg: &ServeConfig,
-    ledger: &Arc<Mutex<Ledger>>,
-) {
-    let now = Instant::now();
-    let (live, expired): (Vec<Pending>, Vec<Pending>) =
-        items.into_iter().partition(|p| !p.expired(now));
-    for p in expired {
-        reject_expired(p, ledger);
-    }
-    if live.is_empty() {
-        return;
-    }
-    record_spans(cfg, &live, SpanStage::BatchForm, now, None);
-    let dep = Arc::clone(&live[0].dep);
-    // A worker-side disconnect can only happen after the pool stopped;
-    // answer the items as lost rather than panicking.
-    if let Err(e) = batch_tx.send(Batch { dep, items: live }) {
-        for p in e.into_inner().items {
-            let _ = p.resp.send(Err(ServeError::WorkerLost));
-        }
+    /// Requests waiting to be taken.
+    pub fn len(&self) -> usize {
+        self.lock().items.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
+    use crate::stats::Ledger;
     use odq_tensor::Tensor;
 
-    fn pending(enqueued: Instant, deadline: Option<Instant>) -> Pending {
+    fn dep(name: &str, version: u64) -> Arc<Deployment> {
         use odq_nn::models::{Model, ModelCfg};
-        // Any deployment will do: group_due never executes it.
-        let dep = Arc::new(Deployment {
-            name: "m".into(),
-            version: 1,
+        Arc::new(Deployment {
+            name: name.into(),
+            version,
             model: Arc::new(Model::build(ModelCfg::small(odq_nn::Arch::LeNet5, 2))),
             plans: Arc::default(),
             fingerprint: 0,
             policy: None,
-        });
-        // The receiver is dropped: these tests never send a response.
-        let (tx, _rx) = bounded(1);
+        })
+    }
+
+    /// A request for `dep` with a `[1, 1, hw, hw]` input, tagged `id`.
+    fn pending(dep: &Arc<Deployment>, hw: usize, id: u64) -> Pending {
+        let input = Tensor::from_vec(vec![1, 1, hw, hw], vec![0.0; hw * hw]);
+        let (resp, _handle) = crate::request::ResponseHandle::channel();
         Pending {
-            req: InferRequest::new("m", Tensor::from_vec(vec![1, 1, 1, 1], vec![0.0])),
-            dep,
-            resp: tx,
-            enqueued,
-            deadline,
-            id: 0,
-            trace: 0,
+            req: InferRequest::new(dep.name.clone(), input),
+            dep: Arc::clone(dep),
+            resp,
+            enqueued: Instant::now(),
+            deadline: None,
+            id,
+            trace: id,
             traced: false,
         }
     }
 
-    #[test]
-    fn due_is_max_wait_without_deadlines() {
-        let now = Instant::now();
-        let w = Duration::from_millis(10);
-        let g = vec![pending(now, None), pending(now + w / 2, None)];
-        assert_eq!(group_due(&g, w, now), now + w);
+    fn push(q: &Queue, p: Pending) {
+        assert!(q.push(p, |_, _| {}).is_ok());
+    }
+
+    fn ids(batch: &[Pending]) -> Vec<u64> {
+        batch.iter().map(|p| p.id).collect()
     }
 
     #[test]
-    fn tight_deadline_pulls_due_before_the_window() {
-        let now = Instant::now();
-        let w = Duration::from_millis(250);
-        // Deadline (20 ms) far shorter than max_wait: due immediately.
-        let g = vec![pending(now, Some(now + Duration::from_millis(20)))];
-        assert!(group_due(&g, w, now) <= now);
+    fn take_groups_one_key_up_to_max_batch_and_keeps_the_rest_in_order() {
+        let (a1, a2, b1) = (dep("a", 1), dep("a", 2), dep("b", 1));
+        let q = Queue::new(16);
+        push(&q, pending(&a1, 4, 0));
+        push(&q, pending(&b1, 4, 1)); // other model
+        push(&q, pending(&a1, 4, 2));
+        push(&q, pending(&a2, 4, 3)); // other version
+        push(&q, pending(&a1, 8, 4)); // other shape
+        push(&q, pending(&a1, 4, 5));
+        push(&q, pending(&a1, 4, 6));
+
+        assert_eq!(ids(&q.take(3).unwrap()), vec![0, 2, 5], "oldest first, same key only");
+        assert_eq!(q.len(), 4);
+        assert_eq!(ids(&q.take(3).unwrap()), vec![1], "then the oldest remaining");
+        assert_eq!(ids(&q.take(3).unwrap()), vec![3]);
+        assert_eq!(ids(&q.take(3).unwrap()), vec![4]);
+        assert_eq!(ids(&q.take(3).unwrap()), vec![6]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
-    fn loose_deadline_leaves_the_window_alone() {
-        let now = Instant::now();
-        let w = Duration::from_millis(2);
-        let g = vec![pending(now, Some(now + Duration::from_secs(10)))];
-        assert_eq!(group_due(&g, w, now), now + w);
+    fn push_refuses_when_full_and_after_close() {
+        let a = dep("a", 1);
+        let q = Queue::new(2);
+        let mut depths = Vec::new();
+        for id in 0..2 {
+            assert!(q.push(pending(&a, 4, id), |_, d| depths.push(d)).is_ok());
+        }
+        assert_eq!(depths, vec![1, 2], "on_admit sees the depth after the push");
+        let e = q.push(pending(&a, 4, 9), |_, _| panic!("not admitted")).unwrap_err();
+        assert_eq!(e, ServeError::QueueFull);
+        q.close();
+        let e = q.push(pending(&a, 4, 10), |_, _| panic!("not admitted")).unwrap_err();
+        assert_eq!(e, ServeError::ShuttingDown);
     }
 
     #[test]
-    fn deadline_shorter_than_max_wait_dispatches_immediately() {
-        // Regression for the `checked_sub(..).unwrap_or(now)` branch of
-        // `group_due`: a request whose whole deadline budget is shorter
-        // than the batching window must flush (effectively) immediately —
-        // through the real batcher loop, not just the due computation.
-        let cfg = ServeConfig {
-            max_wait: Duration::from_secs(5),
-            max_batch: 8,
-            ..ServeConfig::default()
-        };
-        let (tx, rx) = bounded::<Pending>(4);
-        let (batch_tx, batch_rx) = bounded::<Batch>(4);
+    fn close_drains_then_returns_none() {
+        let a = dep("a", 1);
+        let q = Arc::new(Queue::new(8));
+        for id in 0..3 {
+            push(&q, pending(&a, 4, id));
+        }
+        q.close();
+        assert_eq!(ids(&q.take(2).unwrap()), vec![0, 1]);
+        assert_eq!(ids(&q.take(2).unwrap()), vec![2]);
+        assert!(q.take(2).is_none());
+
+        // A worker blocked on an empty queue wakes up and exits on close.
+        let q = Arc::new(Queue::new(8));
+        let waiter = std::thread::spawn({
+            let q = Arc::clone(&q);
+            move || q.take(4).is_none()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert!(waiter.join().unwrap(), "close wakes a waiting worker with None");
+    }
+
+    #[test]
+    fn tight_deadline_request_is_dispatched_not_expired() {
+        // A request whose whole deadline budget is short must reach a
+        // worker and run, not sit out a batching window and expire —
+        // through the real worker loop, not just the queue.
+        let cfg = ServeConfig { max_batch: 8, simulate_accel: false, ..ServeConfig::default() };
+        let queue = Arc::new(Queue::new(4));
         let ledger = Arc::new(Mutex::new(Ledger::default()));
-        let b_ledger = Arc::clone(&ledger);
-        let batcher = std::thread::spawn(move || run(rx, batch_tx, cfg, b_ledger));
+        let worker = std::thread::spawn({
+            let (queue, ledger, cfg) = (Arc::clone(&queue), Arc::clone(&ledger), cfg.clone());
+            move || crate::worker::run(&queue, crate::EngineKind::Float, cfg, ledger)
+        });
 
+        let d = dep("m", 1);
+        let (resp, handle) = crate::request::ResponseHandle::channel();
         let now = Instant::now();
-        // Deadline (300 ms) far below max_wait (5 s): sitting out the
-        // window would expire it.
-        tx.send(pending(now, Some(now + Duration::from_millis(300)))).unwrap();
-        let batch = batch_rx
-            .recv_timeout(Duration::from_secs(2))
-            .expect("deadline-driven flush must dispatch well before max_wait");
-        assert!(
-            now.elapsed() < Duration::from_secs(2),
-            "dispatched after {:?}, not within the deadline budget",
-            now.elapsed()
-        );
-        assert_eq!(batch.items.len(), 1);
-        assert_eq!(lock_ledger(&ledger).rejected_deadline, 0, "dispatched, not expired");
+        let input = Tensor::from_vec(vec![1, 3, 16, 16], vec![0.5; 3 * 16 * 16]);
+        let p = Pending {
+            req: InferRequest::new("m", input),
+            dep: d,
+            resp,
+            enqueued: now,
+            deadline: Some(now + Duration::from_millis(300)),
+            id: 0,
+            trace: 0,
+            traced: false,
+        };
+        assert!(queue.push(p, |_, _| {}).is_ok());
+        let r = handle.wait().expect("a tight-deadline request is served");
+        assert_eq!(r.timing.batch_size, 1);
+        assert_eq!(crate::worker::lock_ledger(&ledger).rejected_deadline, 0, "served, not expired");
 
-        drop(tx);
-        batcher.join().unwrap();
-    }
-
-    #[test]
-    fn earliest_member_deadline_wins() {
-        let now = Instant::now();
-        let w = Duration::from_millis(5);
-        let g = vec![
-            pending(now, Some(now + Duration::from_secs(1))),
-            pending(now, Some(now + Duration::from_millis(8))),
-        ];
-        assert_eq!(group_due(&g, w, now), now + Duration::from_millis(3));
+        queue.close();
+        worker.join().unwrap();
     }
 }

@@ -18,11 +18,10 @@ pub struct ServeConfig {
     /// [`crate::ServeError::QueueFull`] instead of blocking — admission
     /// control backpressures the client, not the server.
     pub queue_depth: usize,
-    /// Maximum requests coalesced into one batch.
+    /// Maximum requests coalesced into one batch. A free worker takes the
+    /// oldest queued request plus up to `max_batch − 1` more of the same
+    /// model, version, and input shape; nothing waits for company.
     pub max_batch: usize,
-    /// Maximum time the *oldest* request of a forming batch waits for
-    /// co-batching company before the batch is flushed anyway.
-    pub max_wait: Duration,
     /// Worker threads. Each owns one long-lived engine per model, so the
     /// ODQ engine's quantized-weight cache amortizes across batches.
     pub workers: usize,
@@ -65,7 +64,6 @@ impl Default for ServeConfig {
         Self {
             queue_depth: 64,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             workers: 2,
             default_deadline: None,
             simulate_accel: true,
@@ -86,6 +84,5 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.queue_depth >= c.max_batch);
         assert!(c.workers >= 1);
-        assert!(c.max_wait > Duration::ZERO);
     }
 }

@@ -4,8 +4,8 @@
 //! to execute a version: the weights (`Arc<Model>` from the registry), the
 //! per-version [`PlanCache`], and the registry fingerprint that pins it.
 //! Admission resolves a request's model name to a deployment *once*, at
-//! submit time, and the `Arc` rides with the request through the batcher
-//! and the worker — so a hot swap never tears an in-flight request: old
+//! submit time, and the `Arc` rides with the request through the queue
+//! to the worker — so a hot swap never tears an in-flight request: old
 //! admissions finish on the old snapshot, new admissions route to the new
 //! one, and a batch (whose key includes the version) never mixes the two.
 //!

@@ -6,11 +6,15 @@
 //! systems", Sec. 1):
 //!
 //! ```text
-//!   submit() ──► bounded queue ──► micro-batcher ──► worker pool ──► responses
-//!   (admission     (capacity =      (coalesce same     (each worker
-//!    control:       queue_depth,     model+shape up     owns long-lived
-//!    reject when    try_send)        to max_batch or    engines; weight
-//!    full)                           max_wait)          caches amortize)
+//!   submit_to() ──► bounded queue ◄── take ── worker pool ──► reply
+//!   (admission       (capacity =      (a free worker     (slot or
+//!    control:         queue_depth)     takes the oldest   callback,
+//!    reject when                       request + up to    resolved
+//!    full)                             max_batch − 1 of   exactly once)
+//!                                      the same model
+//!                                      and shape; each
+//!                                      worker owns
+//!                                      long-lived engines)
 //!                                                          │
 //!                                                          ▼
 //!                                                  streaming stats ledger
@@ -23,13 +27,17 @@
 //! ```
 //!
 //! Requests carry one `[1, C, H, W]` image for a named model and an
-//! optional deadline. The batcher coalesces *compatible* requests (same
-//! model, same input shape) into one `[N, C, H, W]` tensor; a worker runs
-//! one forward pass through its engine ([`EngineKind`] selects float,
+//! optional deadline. A worker that is free takes the oldest queued
+//! request together with younger *compatible* ones (same model, version
+//! and input shape), so batches form from whatever queued while every
+//! worker was busy — nothing waits on a timer. It stacks them into one
+//! `[N, C, H, W]` tensor, runs one forward pass through its engine ([`EngineKind`] selects float,
 //! static INT-k, DRQ, ODQ, or a per-layer mixed-precision
 //! [`odq_nn::policy::PrecisionPolicy`] routed by [`PolicyExecutor`] —
 //! anything behind `odq_nn`'s `ConvExecutor` seam) and scatters the
-//! `[N, classes]` output back to the per-request response channels.
+//! `[N, classes]` output to the per-request replies ([`ResponseSender`]:
+//! a slot a [`ResponseHandle`] waits on, or a callback such as the net
+//! front-end's, which pushes the outcome straight to its connection).
 //! Batching is exact: per-sample im2col/GEMM and batch-independent
 //! quantization scales make the batched outputs element-wise identical to
 //! solo runs (asserted by this crate's tests).
@@ -44,8 +52,8 @@
 //! [`Server::stats_json`]).
 //!
 //! [`Server::shutdown`] is graceful: admission closes first, then the
-//! batcher drains and flushes every admitted request, then workers finish
-//! in-flight batches — no response is lost or duplicated.
+//! workers drain every admitted request and exit — no response is lost or
+//! duplicated.
 //!
 //! Models are *versioned*: every server is backed by an
 //! `odq_registry::ModelRegistry`, admission resolves each request to an
@@ -60,7 +68,7 @@
 //! completions and service latency split out in the stats ledger.
 //!
 //! The server itself is transport-agnostic — everything enters through
-//! [`Server::submit`]. The `odq-net` crate puts a TCP front-end on top
+//! [`Server::submit_to`] ([`Server::submit`] wraps it with a slot). The `odq-net` crate puts a TCP front-end on top
 //! (the `ODQ1` length-prefixed wire protocol), streaming its
 //! connection/byte/frame counters into this crate's ledger through
 //! [`NetTap`], and its load generators drive either side of the wire via
@@ -75,9 +83,8 @@
 //! nth-batch, per-model, and seeded-probability triggers
 //! ([`ServeConfig::fault_panic_on_batch`] remains as an nth-batch shim) —
 //! so the recovery path stays tested, and the chaos harness
-//! (`odq-chaos`) can drive it under schedule. Requests whose deadline
-//! is shorter than the batching window are dispatched early by the
-//! deadline-aware batcher instead of expiring in it.
+//! (`odq-chaos`) can drive it under schedule. No request is held back to
+//! form a batch, so a tight deadline is never spent waiting for company.
 //!
 //! The ledger's counters obey a checkable conservation law — every
 //! admitted request reaches exactly one terminal outcome —

@@ -15,33 +15,59 @@
 //! Both run against any [`LoadTarget`]: the in-process [`Server`]
 //! directly, or a remote one through the `odq-net` TCP client — the same
 //! generator measures both sides of the wire.
+//!
+//! Latency is stamped when a response *resolves*, not when the generator
+//! gets round to looking at it: every request's reply is a callback
+//! ([`ResponseSender::from_fn`]) that records the completion instant and
+//! posts it to one completion channel, which both loops consume in
+//! completion order.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::request::{InferRequest, ResponseHandle, ServeError};
+use crate::request::{InferRequest, InferResponse, ResponseHandle, ResponseSender, ServeError};
 use crate::server::Server;
 use crate::stats::LogHistogram;
 use odq_tensor::Tensor;
 
-/// Anything the load generators can drive: submit a request, get back a
-/// [`ResponseHandle`]. Implemented by the in-process [`Server`] and by
-/// `odq-net`'s TCP client, so one generator measures either side of the
-/// wire.
+/// Anything the load generators can drive: submit a request whose
+/// outcome resolves a [`ResponseSender`]. Implemented by the in-process
+/// [`Server`] and by `odq-net`'s TCP client, so one generator measures
+/// either side of the wire.
 pub trait LoadTarget {
-    /// Submit a request; errors are admission rejections (for a remote
-    /// target, transport-level refusals).
-    fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError>;
+    /// Submit a request, resolving `reply` exactly once. An `Err` is a
+    /// rejection at the call (admission, or for a remote target a
+    /// transport-level refusal); `reply` then carries the same error.
+    fn submit_to(&self, req: InferRequest, reply: ResponseSender) -> Result<(), ServeError>;
+
+    /// Submit a request and get a [`ResponseHandle`] to wait on.
+    fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError> {
+        let (reply, handle) = ResponseHandle::channel();
+        self.submit_to(req, reply)?;
+        Ok(handle)
+    }
 }
 
 impl LoadTarget for Server {
-    fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError> {
-        Server::submit(self, req)
+    fn submit_to(&self, req: InferRequest, reply: ResponseSender) -> Result<(), ServeError> {
+        Server::submit_to(self, req, reply)
     }
+}
+
+/// One resolved request: when it was submitted, when its reply resolved,
+/// and the outcome.
+type Completion = (Instant, Instant, Result<InferResponse, ServeError>);
+
+/// A reply that stamps the instant it resolves and posts the completion.
+fn stamped(sent: Instant, done: &Sender<Completion>) -> ResponseSender {
+    let done = done.clone();
+    ResponseSender::from_fn(move |r| {
+        let _ = done.send((sent, Instant::now(), r));
+    })
 }
 
 /// One model's share of the generated load.
@@ -75,6 +101,10 @@ pub struct LoadReport {
     /// Submissions rejected as invalid (unknown model / bad shape) —
     /// a misconfigured spec, counted rather than panicked on.
     pub invalid: u64,
+    /// Completed requests whose client-side latency came out *shorter*
+    /// than the server's own [`crate::RequestTiming::total`] for them —
+    /// impossible for a correct measurement, so always 0.
+    pub clock_violations: u64,
     /// Successfully completed.
     pub completed: u64,
     /// Wall-clock duration of the run.
@@ -103,15 +133,17 @@ impl LoadReport {
         Duration::from_nanos(self.latencies.value_at_quantile(q))
     }
 
-    fn absorb(&mut self, outcome: Result<Duration, ServeError>) {
+    /// Count one resolved request. Admission rejections arrive here too
+    /// (through the reply), classified like any other outcome.
+    fn absorb(&mut self, (sent, done, outcome): Completion) {
         match outcome {
-            Ok(lat) => {
+            Ok(resp) => {
+                let lat = done.saturating_duration_since(sent);
                 self.completed += 1;
+                self.clock_violations += u64::from(lat < resp.timing.total);
                 self.latencies.record(lat.as_nanos() as u64);
             }
             Err(ServeError::DeadlineExceeded) => self.deadline_missed += 1,
-            // Over a network target, admission rejections arrive through
-            // the handle instead of at submit; classify them the same way.
             Err(ServeError::QueueFull) => self.rejected += 1,
             Err(ServeError::ShuttingDown) => self.shutdown_rejected += 1,
             Err(ServeError::UnknownModel(_) | ServeError::BadInput(_)) => self.invalid += 1,
@@ -119,20 +151,6 @@ impl LoadReport {
             // drain) is a terminal outcome the generator must survive.
             Err(ServeError::WorkerLost | ServeError::Internal) => self.failed += 1,
         }
-    }
-
-    /// Record a submission rejection. Returns `false` when the run should
-    /// stop (the server is shutting down).
-    fn absorb_submit_error(&mut self, e: ServeError) -> bool {
-        match e {
-            ServeError::QueueFull => self.rejected += 1,
-            ServeError::ShuttingDown => {
-                self.shutdown_rejected += 1;
-                return false;
-            }
-            _ => self.invalid += 1,
-        }
-        true
     }
 }
 
@@ -168,8 +186,9 @@ fn make_request(
 }
 
 /// Closed-loop run: keep `concurrency` requests in flight until `total`
-/// have been submitted, then drain. Drives any [`LoadTarget`] — the
-/// in-process server or a remote one over TCP.
+/// have been submitted, then drain. A new request goes out the moment any
+/// in-flight one resolves. Drives any [`LoadTarget`] — the in-process
+/// server or a remote one over TCP.
 pub fn run_closed_loop(
     server: &impl LoadTarget,
     specs: &[LoadSpec],
@@ -180,40 +199,34 @@ pub fn run_closed_loop(
     assert!(!specs.is_empty(), "need at least one load spec");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut report = LoadReport::default();
-    let mut inflight = VecDeque::new();
+    let (done_tx, done_rx) = unbounded();
+    let mut inflight = 0usize;
     let start = Instant::now();
     for _ in 0..total {
-        // At capacity: wait for the oldest in-flight request first.
-        while inflight.len() >= concurrency.max(1) {
-            let (t0, h): (Instant, crate::request::ResponseHandle) =
-                inflight.pop_front().expect("non-empty");
-            report.absorb(h.wait().map(|_| t0.elapsed()));
+        // At capacity: wait for the next request to resolve.
+        while inflight >= concurrency.max(1) {
+            absorb_next(&mut report, &done_rx, &mut inflight);
         }
         report.submitted += 1;
-        match server.submit(make_request(specs, &mut rng, None)) {
-            Ok(h) => inflight.push_back((Instant::now(), h)),
+        let req = make_request(specs, &mut rng, None);
+        let r = server.submit_to(req, stamped(Instant::now(), &done_tx));
+        inflight += 1;
+        match r {
+            Ok(()) => {}
+            // Closed loop never hammers a full queue: the rejection is
+            // already resolved, so wait out one real completion too.
             Err(ServeError::QueueFull) => {
-                report.rejected += 1;
-                // Closed loop never abandons: wait out one completion,
-                // then retry the slot on the next iteration.
-                if let Some((t0, h)) = inflight.pop_front() {
-                    report.absorb(h.wait().map(|_| t0.elapsed()));
+                for _ in 0..inflight.min(2) {
+                    absorb_next(&mut report, &done_rx, &mut inflight);
                 }
             }
             // A shutting-down server ends the run; anything else is a
-            // misconfigured spec, counted rather than panicked on.
-            Err(e) => {
-                if !report.absorb_submit_error(e) {
-                    break;
-                }
-            }
+            // misconfigured spec, counted through its reply.
+            Err(ServeError::ShuttingDown) => break,
+            Err(_) => {}
         }
     }
-    for (t0, h) in inflight {
-        report.absorb(h.wait().map(|_| t0.elapsed()));
-    }
-    report.elapsed = start.elapsed();
-    report
+    finish(report, done_rx, inflight, start)
 }
 
 /// Open-loop run: `total` requests offered at `rate_rps` (Poisson
@@ -233,7 +246,8 @@ pub fn run_open_loop(
     assert!(rate_rps > 0.0, "rate must be positive");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut report = LoadReport::default();
-    let mut inflight = Vec::new();
+    let (done_tx, done_rx) = unbounded();
+    let mut inflight = 0usize;
     let start = Instant::now();
     let mut next_arrival = start;
     for _ in 0..total {
@@ -247,17 +261,33 @@ pub fn run_open_loop(
         next_arrival += Duration::from_secs_f64(gap);
 
         report.submitted += 1;
-        match server.submit(make_request(specs, &mut rng, deadline)) {
-            Ok(h) => inflight.push((Instant::now(), h)),
-            Err(e) => {
-                if !report.absorb_submit_error(e) {
-                    break;
-                }
-            }
+        let req = make_request(specs, &mut rng, deadline);
+        let r = server.submit_to(req, stamped(Instant::now(), &done_tx));
+        inflight += 1;
+        if r == Err(ServeError::ShuttingDown) {
+            break;
         }
     }
-    for (t0, h) in inflight {
-        report.absorb(h.wait().map(|_| t0.elapsed()));
+    finish(report, done_rx, inflight, start)
+}
+
+/// Absorb the next completion, whichever request it belongs to.
+fn absorb_next(report: &mut LoadReport, done: &Receiver<Completion>, inflight: &mut usize) {
+    // Every reply resolves exactly once, so a completion is owed.
+    let c = done.recv().expect("the generator holds a completion sender");
+    *inflight -= 1;
+    report.absorb(c);
+}
+
+/// Drain the `inflight` completions still owed and close the report.
+fn finish(
+    mut report: LoadReport,
+    done: Receiver<Completion>,
+    mut inflight: usize,
+    start: Instant,
+) -> LoadReport {
+    while inflight > 0 {
+        absorb_next(&mut report, &done, &mut inflight);
     }
     report.elapsed = start.elapsed();
     report
@@ -287,17 +317,39 @@ mod tests {
         }
     }
 
+    /// A completion that took `lat` on the client and `server` on the
+    /// server.
+    fn ok(lat: Duration, server: Duration) -> Completion {
+        let t0 = Instant::now();
+        let timing = crate::RequestTiming {
+            queue_wait: Duration::ZERO,
+            service: server,
+            total: server,
+            batch_size: 1,
+        };
+        let resp = InferResponse { output: Tensor::zeros(vec![1, 1]), timing, trace: None };
+        (t0, t0 + lat, Ok(resp))
+    }
+
+    fn err(e: ServeError) -> Completion {
+        let t0 = Instant::now();
+        (t0, t0, Err(e))
+    }
+
     #[test]
     fn report_aggregates() {
         let mut r = LoadReport::default();
-        r.absorb(Ok(Duration::from_millis(4)));
-        r.absorb(Ok(Duration::from_millis(8)));
-        r.absorb(Err(ServeError::DeadlineExceeded));
+        r.absorb(ok(Duration::from_millis(4), Duration::from_millis(3)));
+        r.absorb(ok(Duration::from_millis(8), Duration::from_millis(8)));
+        r.absorb(err(ServeError::DeadlineExceeded));
         r.elapsed = Duration::from_secs(1);
         assert_eq!(r.completed, 2);
         assert_eq!(r.deadline_missed, 1);
+        assert_eq!(r.clock_violations, 0);
         assert!((r.throughput() - 2.0).abs() < 1e-9);
         assert_eq!(r.latency_percentile(1.0), Duration::from_millis(8));
+        r.absorb(ok(Duration::from_millis(1), Duration::from_millis(2)));
+        assert_eq!(r.clock_violations, 1, "client faster than server is counted");
     }
 
     #[test]
@@ -308,7 +360,7 @@ mod tests {
         // carry the documented ≤12.5% relative bucket error.
         let mut r = LoadReport::default();
         for i in 1..=100_000u64 {
-            r.absorb(Ok(Duration::from_micros(i)));
+            r.absorb(ok(Duration::from_micros(i), Duration::ZERO));
         }
         assert_eq!(r.completed, 100_000);
         for (q, exact_us) in [(0.5, 50_000.0), (0.95, 95_000.0), (0.99, 99_000.0)] {
@@ -322,16 +374,58 @@ mod tests {
     }
 
     #[test]
-    fn report_absorbs_failures_and_submit_errors() {
+    fn report_absorbs_failures_and_rejections() {
         let mut r = LoadReport::default();
-        r.absorb(Err(ServeError::Internal));
-        r.absorb(Err(ServeError::WorkerLost));
+        r.absorb(err(ServeError::Internal));
+        r.absorb(err(ServeError::WorkerLost));
+        r.absorb(err(ServeError::QueueFull));
+        r.absorb(err(ServeError::UnknownModel("x".into())));
+        r.absorb(err(ServeError::ShuttingDown));
         assert_eq!(r.failed, 2);
-        assert!(r.absorb_submit_error(ServeError::QueueFull), "queue-full keeps running");
-        assert!(r.absorb_submit_error(ServeError::UnknownModel("x".into())));
-        assert!(!r.absorb_submit_error(ServeError::ShuttingDown), "shutdown stops the run");
         assert_eq!(r.rejected, 1);
         assert_eq!(r.invalid, 1);
         assert_eq!(r.shutdown_rejected, 1);
+        assert_eq!(r.completed, 0);
+    }
+
+    fn lenet_server() -> Server {
+        use odq_nn::models::{Model, ModelCfg};
+        let mut cfg = ModelCfg::small(odq_nn::Arch::LeNet5, 4);
+        cfg.input_hw = 8;
+        Server::builder(crate::ServeConfig { simulate_accel: false, ..Default::default() })
+            .engine(crate::EngineKind::Float)
+            .model("lenet", Model::build(cfg))
+            .start()
+    }
+
+    fn lenet_spec() -> Vec<LoadSpec> {
+        vec![LoadSpec { model: "lenet".into(), in_channels: 3, hw: 8, weight: 1.0 }]
+    }
+
+    #[test]
+    fn open_loop_latency_is_stamped_at_completion() {
+        // Regression: latencies were taken when the generator got round to
+        // a handle — after the whole schedule was sent — so a 1 s run read
+        // client p50s hundreds of ms above the server's.
+        let s = lenet_server();
+        let r = run_open_loop(&s, &lenet_spec(), 100, 100.0, None, 5);
+        assert_eq!(r.completed, 100);
+        assert_eq!(r.clock_violations, 0, "client latency >= server total, per request");
+        let client = r.latency_percentile(0.5);
+        let ledger = s.shutdown().latency.p50;
+        assert!(
+            client.abs_diff(ledger) < Duration::from_millis(50),
+            "client p50 {client:?} vs ledger p50 {ledger:?}"
+        );
+    }
+
+    #[test]
+    fn closed_loop_counts_every_request_once() {
+        let s = lenet_server();
+        let r = run_closed_loop(&s, &lenet_spec(), 64, 4, 6);
+        assert_eq!(r.submitted, 64);
+        assert_eq!(r.completed + r.rejected, 64);
+        assert_eq!(r.clock_violations, 0);
+        assert_eq!(s.shutdown().completed, r.completed);
     }
 }

@@ -1,6 +1,7 @@
 //! Request/response types and the submission error taxonomy.
 
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
@@ -26,7 +27,8 @@ pub struct InferRequest {
     /// Optional caller-chosen trace id for distributed tracing
     /// ([`crate::trace`]). Carried over the wire by `odq-net`'s
     /// `FLAG_TRACE` and echoed back in [`InferResponse::trace`]. When
-    /// `None` the server uses the request id as the trace id.
+    /// `None` the server assigns a fresh server-unique sequence number
+    /// (not the request id, which can repeat across connections).
     pub trace: Option<u64>,
 }
 
@@ -120,34 +122,39 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// A request's terminal outcome.
+type Outcome = Result<InferResponse, ServeError>;
+
 /// Handle to a submitted request's eventual response.
 ///
 /// The response arrives on a dedicated single-slot channel, so a handle
 /// can be waited on from any thread, at any time after submission.
 #[derive(Debug)]
 pub struct ResponseHandle {
-    pub(crate) rx: Receiver<Result<InferResponse, ServeError>>,
+    pub(crate) rx: Receiver<Outcome>,
 }
 
 impl ResponseHandle {
-    /// A fresh single-slot response channel: the sending half resolves the
-    /// handle exactly once. This is how an out-of-process front-end (the
-    /// `odq-net` client) hands out the same handle type the in-process
-    /// [`crate::Server::submit`] does — a dropped sender resolves the
-    /// handle to [`ServeError::WorkerLost`], exactly like a dropped
-    /// pipeline.
+    /// A fresh single-slot reply and the handle it resolves. This is how
+    /// [`crate::Server::submit`] and the `odq-net` client hand out
+    /// handles: the sender goes to whatever answers the request, and a
+    /// sender dropped unresolved resolves the handle to
+    /// [`ServeError::WorkerLost`].
     pub fn channel() -> (ResponseSender, ResponseHandle) {
         let (tx, rx) = crossbeam::channel::bounded(1);
-        (ResponseSender { tx }, ResponseHandle { rx })
+        let reply = ResponseSender::from_fn(move |r| {
+            let _ = tx.try_send(r);
+        });
+        (reply, ResponseHandle { rx })
     }
 
     /// Block until the response is ready.
-    pub fn wait(self) -> Result<InferResponse, ServeError> {
+    pub fn wait(self) -> Outcome {
         self.rx.recv().unwrap_or(Err(ServeError::WorkerLost))
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<InferResponse, ServeError>> {
+    pub fn try_wait(&self) -> Option<Outcome> {
         match self.rx.try_recv() {
             Ok(r) => Some(r),
             Err(crossbeam::channel::TryRecvError::Empty) => None,
@@ -158,18 +165,50 @@ impl ResponseHandle {
     }
 }
 
-/// The sending half of a [`ResponseHandle::channel`] pair. Resolving is
-/// idempotent-safe: the slot holds one result, later sends are ignored.
-#[derive(Clone, Debug)]
+/// One request's reply, resolved exactly once: either a slot a
+/// [`ResponseHandle`] waits on ([`ResponseHandle::channel`]) or a
+/// callback run on the resolving thread ([`ResponseSender::from_fn`]) —
+/// how the `odq-net` server pushes each reply straight to its
+/// connection's writer, and how the load generators stamp the moment a
+/// response resolved.
+///
+/// Clones share the one reply. The first [`send`](Self::send) resolves
+/// it and later ones return `false`; dropping every clone unresolved
+/// resolves it to [`ServeError::WorkerLost`], so a lost pipeline never
+/// leaves a waiter hanging.
+#[derive(Clone)]
 pub struct ResponseSender {
-    tx: crossbeam::channel::Sender<Result<InferResponse, ServeError>>,
+    reply: Arc<Reply>,
+}
+
+/// Hands a request's outcome to wherever it is going.
+type Deliver = Box<dyn FnOnce(Outcome) + Send>;
+
+/// The reply's delivery, taken by whichever resolves it first.
+struct Reply(Mutex<Option<Deliver>>);
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(deliver) = self.0.get_mut().unwrap_or_else(PoisonError::into_inner).take() {
+            deliver(Err(ServeError::WorkerLost));
+        }
+    }
 }
 
 impl ResponseSender {
-    /// Resolve the paired handle. Returns `false` when the result could
-    /// not be delivered (slot already filled, or the handle was dropped).
-    pub fn send(&self, result: Result<InferResponse, ServeError>) -> bool {
-        self.tx.try_send(result).is_ok()
+    /// A reply that runs `f` with the outcome, exactly once, on whichever
+    /// thread resolves it (a worker, an admission rejection, or the drop
+    /// of the last unresolved clone). `f` should be quick: it runs on the
+    /// serving path.
+    pub fn from_fn(f: impl FnOnce(Outcome) + Send + 'static) -> Self {
+        Self { reply: Arc::new(Reply(Mutex::new(Some(Box::new(f))))) }
+    }
+
+    /// Resolve the reply. Returns `false` when it was already resolved:
+    /// the result is then dropped.
+    pub fn send(&self, result: Outcome) -> bool {
+        let deliver = self.reply.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        deliver.map(|deliver| deliver(result)).is_some()
     }
 }
 
@@ -192,6 +231,37 @@ mod tests {
         let (tx, h) = ResponseHandle::channel();
         drop(tx);
         assert_eq!(h.wait().unwrap_err(), ServeError::WorkerLost);
+    }
+
+    /// A callback reply that records every outcome it is handed.
+    fn recording() -> (ResponseSender, Arc<Mutex<Vec<Outcome>>>) {
+        let seen: Arc<Mutex<Vec<Outcome>>> = Arc::default();
+        let sink = Arc::clone(&seen);
+        (ResponseSender::from_fn(move |r| sink.lock().unwrap().push(r)), seen)
+    }
+
+    fn errors(seen: &Mutex<Vec<Outcome>>) -> Vec<Option<ServeError>> {
+        seen.lock().unwrap().iter().map(|r| r.as_ref().err().cloned()).collect()
+    }
+
+    #[test]
+    fn callback_reply_runs_exactly_once() {
+        let (tx, seen) = recording();
+        let clone = tx.clone();
+        assert!(tx.send(Err(ServeError::DeadlineExceeded)));
+        assert!(!clone.send(Err(ServeError::Internal)), "a second send is refused");
+        drop((tx, clone));
+        assert_eq!(errors(&seen), vec![Some(ServeError::DeadlineExceeded)]);
+    }
+
+    #[test]
+    fn dropping_every_unresolved_clone_delivers_worker_lost() {
+        let (tx, seen) = recording();
+        let clone = tx.clone();
+        drop(tx);
+        assert!(seen.lock().unwrap().is_empty(), "a live clone keeps the reply open");
+        drop(clone);
+        assert_eq!(errors(&seen), vec![Some(ServeError::WorkerLost)]);
     }
 
     #[test]

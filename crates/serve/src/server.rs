@@ -6,15 +6,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use odq_nn::models::Model;
 use odq_registry::ModelRegistry;
 
-use crate::batcher::{self, Batch, Pending};
+use crate::batcher::{Pending, Queue};
 use crate::config::ServeConfig;
 use crate::deploy::{DeployError, Deployment, ModelRoute, TrafficSplit};
 use crate::engine::EngineKind;
-use crate::request::{InferRequest, ResponseHandle, ServeError};
+use crate::request::{InferRequest, ResponseHandle, ResponseSender, ServeError};
 use crate::stats::{BatchRecord, Ledger, StatsHandle, StatsSummary};
 use crate::trace::{SpanRecord, SpanStage};
 use crate::worker::{self, lock_ledger};
@@ -72,7 +71,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Start the batcher and worker threads and open admission, or report
+    /// Start the worker threads and open admission, or report
     /// why the initial deployments could not be built (a publish gate
     /// rejected a model, a `serve` name has nothing published).
     pub fn try_start(self) -> Result<Server, DeployError> {
@@ -102,44 +101,21 @@ impl ServerBuilder {
         let routes = Arc::new(routes);
         let ledger = Arc::new(Mutex::new(Ledger::default()));
 
-        let (submit_tx, submit_rx) = bounded::<Pending>(cfg.queue_depth.max(1));
-        // Small buffer: workers pull batches as they free up, and a full
-        // channel backpressures the batcher (and through it, admission).
-        let (batch_tx, batch_rx) = bounded::<Batch>(cfg.workers.max(1) * 2);
-
-        let b_ledger = Arc::clone(&ledger);
-        let b_cfg = cfg.clone();
-        let batcher = std::thread::Builder::new()
-            .name("odq-serve-batcher".into())
-            .spawn(move || batcher::run(submit_rx, batch_tx, b_cfg, b_ledger))
-            .expect("spawn batcher");
-
+        let queue = Arc::new(Queue::new(cfg.queue_depth));
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
-                let rx = batch_rx.clone();
+                let queue = Arc::clone(&queue);
                 let ledger = Arc::clone(&ledger);
                 let kind = self.engine.clone();
                 let w_cfg = cfg.clone();
                 std::thread::Builder::new()
                     .name(format!("odq-serve-worker-{i}"))
-                    .spawn(move || worker::run(rx, kind, w_cfg, ledger))
+                    .spawn(move || worker::run(&queue, kind, w_cfg, ledger))
                     .expect("spawn worker")
             })
             .collect();
-        // The batcher's sender must be the only one left, or workers
-        // would never see a disconnect on shutdown.
-        drop(batch_rx);
 
-        Ok(Server {
-            cfg,
-            registry,
-            routes,
-            seq: AtomicU64::new(0),
-            submit_tx: Some(submit_tx),
-            batcher: Some(batcher),
-            workers,
-            ledger,
-        })
+        Ok(Server { cfg, registry, routes, seq: AtomicU64::new(0), queue, workers, ledger })
     }
 
     /// [`try_start`](Self::try_start), panicking on failure.
@@ -155,8 +131,8 @@ pub struct Server {
     routes: Arc<HashMap<String, ModelRoute>>,
     /// Request-id sequence for submissions that don't bring their own.
     seq: AtomicU64,
-    submit_tx: Option<Sender<Pending>>,
-    batcher: Option<JoinHandle<()>>,
+    /// The bounded submission queue the workers pull batches from.
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
     ledger: Arc<Mutex<Ledger>>,
 }
@@ -182,24 +158,25 @@ impl Server {
     /// [`deploy`](Self::deploy) or [`rollback`](Self::rollback) can never
     /// tear it — it executes wholly on the version admission chose.
     pub fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError> {
+        let (reply, handle) = ResponseHandle::channel();
+        self.submit_to(req, reply)?;
+        Ok(handle)
+    }
+
+    /// Submit a request whose outcome goes to `reply` — a slot or a
+    /// callback ([`ResponseSender::from_fn`]). `reply` is resolved exactly
+    /// once: by the worker that serves the request, or here, with the
+    /// same typed error this call returns, when admission rejects it.
+    pub fn submit_to(&self, req: InferRequest, reply: ResponseSender) -> Result<(), ServeError> {
+        let rejected = |e: ServeError| {
+            lock_ledger(&self.ledger).count_rejection(&e);
+            reply.send(Err(e.clone()));
+            Err(e)
+        };
         let id = req.id.unwrap_or_else(|| self.seq.fetch_add(1, Ordering::Relaxed));
         let dep = match self.admit(&req, id) {
             Ok(dep) => dep,
-            Err(e) => {
-                // Count under the counter the variant names: today `admit`
-                // only rejects as invalid (unknown model / bad shape), but
-                // a future non-invalid admit failure must not masquerade
-                // as one in the rejection taxonomy.
-                lock_ledger(&self.ledger).count_rejection(&e);
-                return Err(e);
-            }
-        };
-        let tx = match self.submit_tx.as_ref() {
-            Some(tx) => tx,
-            None => {
-                lock_ledger(&self.ledger).rejected_shutdown += 1;
-                return Err(ServeError::ShuttingDown);
-            }
+            Err(e) => return rejected(e),
         };
         let now = Instant::now();
         let deadline = req.deadline.or(self.cfg.default_deadline).map(|d| now + d);
@@ -213,38 +190,28 @@ impl Server {
         // deterministic submission order sample the same requests.
         let trace = req.trace.unwrap_or_else(|| self.seq.fetch_add(1, Ordering::Relaxed));
         let traced = self.cfg.trace.as_ref().is_some_and(|s| s.sample(trace));
-        let (resp_tx, resp_rx) = bounded(1);
         let pending =
-            Pending { req, dep, resp: resp_tx, enqueued: now, deadline, id, trace, traced };
-        // The submit span's metadata must outlive the move into try_send.
-        let span_meta = traced.then(|| (pending.dep.name.clone(), pending.dep.version));
-        match tx.try_send(pending) {
-            Ok(()) => {
-                if let (Some(sink), Some((model, version))) = (&self.cfg.trace, span_meta) {
-                    sink.record(SpanRecord {
-                        trace,
-                        request: id,
-                        model,
-                        version,
-                        stage: SpanStage::Submit,
-                        at: now,
-                        dur: None,
-                    });
-                }
-                let mut led = lock_ledger(&self.ledger);
-                led.admitted += 1;
-                led.note_queue_depth(tx.len());
-                Ok(ResponseHandle { rx: resp_rx })
+            Pending { req, dep, resp: reply.clone(), enqueued: now, deadline, id, trace, traced };
+        // The submit span and the admission count land under the queue
+        // lock, before any worker can take the request, so neither can
+        // trail the request's own later stages.
+        let pushed = self.queue.push(pending, |p, depth| {
+            if let (Some(sink), true) = (&self.cfg.trace, p.traced) {
+                sink.record(SpanRecord {
+                    trace,
+                    request: id,
+                    model: p.dep.name.clone(),
+                    version: p.dep.version,
+                    stage: SpanStage::Submit,
+                    at: now,
+                    dur: None,
+                });
             }
-            Err(TrySendError::Full(_)) => {
-                lock_ledger(&self.ledger).rejected_queue_full += 1;
-                Err(ServeError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                lock_ledger(&self.ledger).rejected_shutdown += 1;
-                Err(ServeError::ShuttingDown)
-            }
-        }
+            let mut led = lock_ledger(&self.ledger);
+            led.admitted += 1;
+            led.note_queue_depth(depth);
+        });
+        pushed.or_else(rejected)
     }
 
     /// Resolve the deployment that will serve this request and validate
@@ -322,7 +289,7 @@ impl Server {
 
     /// Requests currently waiting in the submission queue.
     pub fn queue_len(&self) -> usize {
-        self.submit_tx.as_ref().map_or(0, |tx| tx.len())
+        self.queue.len()
     }
 
     /// Aggregated ledger snapshot. O(1) in requests served: the ledger
@@ -382,22 +349,16 @@ impl Server {
         StatsHandle::new(Arc::clone(&self.ledger))
     }
 
-    /// Graceful shutdown: close admission, let the batcher drain and
-    /// flush every admitted request, let workers finish all batches, join
-    /// all threads. Returns the final ledger summary.
+    /// Graceful shutdown: close admission, let the workers drain every
+    /// admitted request, join them. Returns the final ledger summary.
     pub fn shutdown(mut self) -> StatsSummary {
         self.close();
         self.stats()
     }
 
     fn close(&mut self) {
-        // Dropping the submission sender disconnects the batcher once the
-        // queue drains; the batcher then drops the batch sender, which
-        // stops the workers once the batch queue drains.
-        drop(self.submit_tx.take());
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
+        // Workers keep taking until the closed queue is empty, then exit.
+        self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -441,7 +402,7 @@ mod tests {
 
     #[test]
     fn serves_a_request_end_to_end() {
-        let s = server(ServeConfig { max_wait: Duration::from_micros(200), ..Default::default() });
+        let s = server(ServeConfig::default());
         let h = s.submit(InferRequest::new("lenet", input(0))).unwrap();
         let r = h.wait().unwrap();
         assert_eq!(r.output.dims(), &[1, 4]);
@@ -475,18 +436,16 @@ mod tests {
 
     #[test]
     fn tight_deadline_flushes_early_and_is_served() {
-        // Deadline far shorter than the batching window: the batcher must
-        // dispatch early on the member deadline, not wait out max_wait and
-        // then reject the request as expired.
-        let cfg =
-            ServeConfig { max_wait: Duration::from_secs(2), max_batch: 8, ..Default::default() };
+        // A tight deadline must be dispatched to a free worker at once,
+        // not held back for batching company and then rejected as expired.
+        let cfg = ServeConfig { max_batch: 8, ..Default::default() };
         let s = server(cfg);
         let t0 = std::time::Instant::now();
         let h = s
             .submit(InferRequest::new("lenet", input(0)).with_deadline(Duration::from_millis(500)))
             .unwrap();
         let r = h.wait().expect("deadline-driven flush must serve this request");
-        assert!(t0.elapsed() < Duration::from_secs(2), "served before the max_wait window");
+        assert!(t0.elapsed() < Duration::from_secs(2), "served well within the deadline");
         assert_eq!(r.output.dims(), &[1, 4]);
         let sum = s.shutdown();
         assert_eq!(sum.completed, 1);
@@ -512,6 +471,24 @@ mod tests {
     }
 
     #[test]
+    fn submit_to_resolves_the_reply_with_the_admission_error() {
+        let mut s = server(ServeConfig::default());
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let reply = |tx: &crossbeam::channel::Sender<_>| {
+            let tx = tx.clone();
+            ResponseSender::from_fn(move |r: Result<_, _>| tx.send(r.err()).unwrap())
+        };
+        let e = s.submit_to(InferRequest::new("nope", input(0)), reply(&tx)).unwrap_err();
+        assert!(matches!(e, ServeError::UnknownModel(_)));
+        assert_eq!(rx.try_recv().unwrap(), Some(e), "the reply carries the same error");
+        s.close();
+        let e = s.submit_to(InferRequest::new("lenet", input(0)), reply(&tx)).unwrap_err();
+        assert_eq!(e, ServeError::ShuttingDown);
+        assert_eq!(rx.try_recv().unwrap(), Some(ServeError::ShuttingDown));
+        assert!(rx.try_recv().is_err(), "each reply resolved exactly once");
+    }
+
+    #[test]
     fn batch_input_must_be_single_image() {
         let s = server(ServeConfig::default());
         let two = Tensor::from_vec(vec![2, 3, 8, 8], vec![0.0; 2 * 3 * 64]);
@@ -521,14 +498,8 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_instead_of_blocking() {
-        // One worker, tiny queue, long max_wait: flood it.
-        let cfg = ServeConfig {
-            queue_depth: 2,
-            max_batch: 64,
-            max_wait: Duration::from_millis(250),
-            workers: 1,
-            ..Default::default()
-        };
+        // One worker, tiny queue: flood it.
+        let cfg = ServeConfig { queue_depth: 2, max_batch: 64, workers: 1, ..Default::default() };
         let s = server(cfg);
         let mut handles = Vec::new();
         let mut rejected = 0u64;
@@ -549,7 +520,7 @@ mod tests {
 
     #[test]
     fn immediate_deadline_is_rejected_not_run() {
-        let cfg = ServeConfig { max_wait: Duration::from_millis(20), ..Default::default() };
+        let cfg = ServeConfig::default();
         let s = server(cfg);
         let h =
             s.submit(InferRequest::new("lenet", input(0)).with_deadline(Duration::ZERO)).unwrap();
@@ -561,13 +532,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests() {
-        let cfg = ServeConfig {
-            queue_depth: 32,
-            max_batch: 4,
-            max_wait: Duration::from_millis(100),
-            workers: 2,
-            ..Default::default()
-        };
+        let cfg = ServeConfig { queue_depth: 32, max_batch: 4, workers: 2, ..Default::default() };
         let s = server(cfg);
         let handles: Vec<_> =
             (0..10).map(|i| s.submit(InferRequest::new("lenet", input(i))).unwrap()).collect();
@@ -581,7 +546,7 @@ mod tests {
 
     #[test]
     fn deploy_swaps_and_rollback_restores_bit_exactly() {
-        let s = server(ServeConfig { max_wait: Duration::from_micros(200), ..Default::default() });
+        let s = server(ServeConfig::default());
         let v1_logits = s.submit(InferRequest::new("lenet", input(3))).unwrap().wait().unwrap();
 
         // Publish a retrained checkpoint and hot-swap to it.
@@ -620,7 +585,7 @@ mod tests {
 
     #[test]
     fn canary_splits_traffic_deterministically() {
-        let s = server(ServeConfig { max_wait: Duration::from_micros(100), ..Default::default() });
+        let s = server(ServeConfig::default());
         let v2 = s.registry().publish("lenet", tiny_model_seeded(42), vec![]).unwrap();
         s.canary("lenet", v2, TrafficSplit::new(0.5).with_seed(9)).unwrap();
         assert_eq!(s.current_version("lenet"), Some(1), "canary must not move current");

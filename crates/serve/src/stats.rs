@@ -770,8 +770,7 @@ impl Ledger {
 /// outcome.
 ///
 /// Post-admission, a request can end exactly three ways — completed,
-/// dropped on deadline (the batcher's expiry sweep or the worker's
-/// last-chance partition), or answered `Internal` after a worker panic —
+/// dropped on deadline (expired when a worker took it), or answered `Internal` after a worker panic —
 /// or still be in flight (queued or mid-batch). So at any quiescent
 /// moment:
 ///

@@ -4,7 +4,8 @@
 //! Every request gets a trace id at admission — the caller's own
 //! ([`crate::InferRequest::with_trace`], carried over the wire by the
 //! `odq-net` `FLAG_TRACE` request flag and echoed in responses) or, by
-//! default, the request id itself. A [`TraceSink`] installed in
+//! default, a fresh server-unique sequence number (not the request id,
+//! which the net front-end scopes to one connection). A [`TraceSink`] installed in
 //! [`crate::ServeConfig::trace`] decides *once per request* whether that
 //! trace is sampled ([`TraceSink::sample`] — required to be a pure
 //! function of the trace id so chaos replay determinism survives), and
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 pub enum SpanStage {
     /// Admission accepted the request into the bounded queue.
     Submit,
-    /// The micro-batcher flushed the batch this request rode in.
+    /// A worker took this request off the queue in a batch.
     BatchForm,
     /// A worker dequeued the batch for execution.
     WorkerDequeue,
@@ -103,8 +104,8 @@ pub trait TraceSink: Send + Sync + fmt::Debug {
     /// request at admission.
     fn sample(&self, trace: u64) -> bool;
 
-    /// Record one span of a sampled request. Called from admission,
-    /// batcher, and worker threads; implementations must be lock-cheap.
+    /// Record one span of a sampled request. Called from admission and
+    /// worker threads; implementations must be lock-cheap.
     fn record(&self, span: SpanRecord);
 }
 

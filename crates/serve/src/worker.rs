@@ -8,10 +8,15 @@
 //! [`PlanCache`](odq_quant::plan::PlanCache): each layer's weights are
 //! quantized, bit-split and summarized once per weight version for the
 //! whole fleet, and every planned conv driver draws im2col scratch from
-//! the cache's workspace pool instead of allocating per call. The batch
-//! itself carries its `Arc<Deployment>` (weights + plans + version), so a
-//! hot swap needs no worker coordination at all: old batches execute
-//! their old snapshot, new batches bring the new one.
+//! the cache's workspace pool instead of allocating per call. Every
+//! request carries its `Arc<Deployment>` (weights + plans + version), and
+//! a batch only ever holds one deployment, so a hot swap needs no worker
+//! coordination at all: old batches execute their old snapshot, new
+//! batches bring the new one.
+//!
+//! A free worker pulls its next batch straight from the submission
+//! [`Queue`]: the oldest request plus up to `max_batch − 1` more of the
+//! same model, version, and shape.
 //!
 //! # Supervision
 //!
@@ -31,11 +36,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel::Receiver;
 use odq_accel::{simulate_network, EnergyModel, LayerWorkload};
 use odq_tensor::Tensor;
 
-use crate::batcher::{record_spans, Batch};
+use crate::batcher::{record_spans, Pending, Queue};
 use crate::config::ServeConfig;
 use crate::engine::{EngineExec, EngineKind, Profiled, RouteProfile};
 use crate::request::{InferResponse, RequestTiming, ServeError};
@@ -51,8 +55,8 @@ pub(crate) fn lock_ledger(ledger: &Mutex<Ledger>) -> std::sync::MutexGuard<'_, L
 
 /// How a worker shift ended.
 enum ShiftEnd {
-    /// The batch channel disconnected: the server is draining. Exit.
-    Disconnected,
+    /// The queue is closed and drained: the server is shutting down. Exit.
+    Drained,
     /// A batch panicked: the shift's engines are suspect. Restart.
     Panicked,
 }
@@ -63,26 +67,21 @@ enum ShiftEnd {
 /// worker's footprint.
 const ENGINES_PER_MODEL: usize = 2;
 
-pub(crate) fn run(
-    rx: Receiver<Batch>,
-    kind: EngineKind,
-    cfg: ServeConfig,
-    ledger: Arc<Mutex<Ledger>>,
-) {
+pub(crate) fn run(queue: &Queue, kind: EngineKind, cfg: ServeConfig, ledger: Arc<Mutex<Ledger>>) {
     let energy = EnergyModel::default();
     // The ledger label is the same for every batch this worker ever
     // serves: intern it once instead of allocating a String per record.
     let label: Arc<str> = Arc::from(kind.label().as_ref());
     loop {
-        match run_shift(&rx, &kind, &label, &cfg, &ledger, &energy) {
-            ShiftEnd::Disconnected => break,
+        match run_shift(queue, &kind, &label, &cfg, &ledger, &energy) {
+            ShiftEnd::Drained => break,
             ShiftEnd::Panicked => lock_ledger(&ledger).worker_restarts += 1,
         }
     }
 }
 
 fn run_shift(
-    rx: &Receiver<Batch>,
+    queue: &Queue,
     kind: &EngineKind,
     label: &Arc<str>,
     cfg: &ServeConfig,
@@ -90,28 +89,28 @@ fn run_shift(
     energy: &EnergyModel,
 ) -> ShiftEnd {
     let mut engines: HashMap<(String, u64), EngineExec> = HashMap::new();
-    while let Ok(batch) = rx.recv() {
-        // Keep a second handle to every response channel so a panicking
-        // batch can still be answered after its `Pending`s unwound away.
-        let senders: Vec<_> = batch.items.iter().map(|p| p.resp.clone()).collect();
+    while let Some(batch) = queue.take(cfg.max_batch.max(1)) {
+        // Keep a second handle to every reply so a panicking batch can
+        // still be answered after its `Pending`s unwound away (a live
+        // clone also keeps their drop from resolving them as lost).
+        let senders: Vec<_> = batch.iter().map(|p| p.resp.clone()).collect();
         let executed = catch_unwind(AssertUnwindSafe(|| {
             serve_batch(batch, kind, label, cfg, ledger, &mut engines, energy);
         }));
         if executed.is_err() {
-            // `try_send`: a request answered before the panic has its
-            // single response slot full already — leave it be and count
-            // only the requests this error actually reaches.
-            let answered =
-                senders.iter().filter(|tx| tx.try_send(Err(ServeError::Internal)).is_ok()).count();
+            // A request answered before the panic has its reply resolved
+            // already — `send` leaves it be, and only the requests this
+            // error actually reaches are counted.
+            let answered = senders.iter().filter(|tx| tx.send(Err(ServeError::Internal))).count();
             lock_ledger(ledger).record_worker_panic(answered);
             return ShiftEnd::Panicked;
         }
     }
-    ShiftEnd::Disconnected
+    ShiftEnd::Drained
 }
 
 fn serve_batch(
-    batch: Batch,
+    batch: Vec<Pending>,
     kind: &EngineKind,
     label: &Arc<str>,
     cfg: &ServeConfig,
@@ -123,6 +122,7 @@ fn serve_batch(
     // after it (expired-partition, input gather, forward pass, scatter) is
     // the server working on the request.
     let dequeued = Instant::now();
+    let dep = Arc::clone(&batch[0].dep);
 
     {
         let mut led = lock_ledger(ledger);
@@ -137,43 +137,42 @@ fn serve_batch(
             panic!("fault injection: panicking on batch {nth}");
         }
         if let Some(hook) = &cfg.fault_hook {
-            if hook.should_panic(nth, &batch.dep.name, batch.dep.version) {
+            if hook.should_panic(nth, &dep.name, dep.version) {
                 panic!(
                     "fault injection: hook tripped on batch {nth} ({} v{})",
-                    batch.dep.name, batch.dep.version
+                    dep.name, dep.version
                 );
             }
         }
     }
 
-    // Last-chance deadline check: a batch can sit in the dispatch channel
-    // behind busy workers; anything already expired is answered as missed
-    // rather than burning a forward pass on it.
-    let (live, expired): (Vec<_>, Vec<_>) =
-        batch.items.into_iter().partition(|p| p.deadline.is_none_or(|d| d > dequeued));
+    // Deadline check at dequeue: a request can wait in the queue behind
+    // busy workers; anything already expired is answered as missed rather
+    // than burning a forward pass on it.
+    let (items, expired): (Vec<_>, Vec<_>) =
+        batch.into_iter().partition(|p| p.deadline.is_none_or(|d| d > dequeued));
     if !expired.is_empty() {
         lock_ledger(ledger).rejected_deadline += expired.len() as u64;
         for p in expired {
             let _ = p.resp.send(Err(ServeError::DeadlineExceeded));
         }
     }
-    if live.is_empty() {
+    if items.is_empty() {
         return;
     }
-    let batch = Batch { dep: batch.dep, items: live };
-    record_spans(cfg, &batch.items, SpanStage::WorkerDequeue, dequeued, None);
+    record_spans(cfg, &items, SpanStage::BatchForm, dequeued, None);
+    record_spans(cfg, &items, SpanStage::WorkerDequeue, dequeued, None);
 
-    let n = batch.items.len();
-    let dep = &batch.dep;
+    let n = items.len();
     let model = &*dep.model;
 
     // Gather [1,C,H,W] inputs into one [N,C,H,W] tensor.
-    let per_image = batch.items[0].req.input.as_slice().len();
+    let per_image = items[0].req.input.as_slice().len();
     let mut data = Vec::with_capacity(n * per_image);
-    for p in &batch.items {
+    for p in &items {
         data.extend_from_slice(p.req.input.as_slice());
     }
-    let mut dims = batch.items[0].req.input.dims().to_vec();
+    let mut dims = items[0].req.input.dims().to_vec();
     dims[0] = n;
     let x = Tensor::from_vec(dims, data);
 
@@ -203,7 +202,7 @@ fn serve_batch(
     let service = start.elapsed();
     let layer_geoms = std::mem::take(&mut prof.layers);
     let layer_walls = std::mem::take(&mut prof.walls);
-    record_spans(cfg, &batch.items, SpanStage::EngineExecute, start, Some(service));
+    record_spans(cfg, &items, SpanStage::EngineExecute, start, Some(service));
 
     // Extract the batch's measured profile before responding. A policy
     // engine yields one group per route, each costed on its own
@@ -295,8 +294,7 @@ fn serve_batch(
     let classes = y.as_slice().len() / n;
     let ys = y.as_slice();
     let done = Instant::now();
-    let timings: Vec<RequestTiming> = batch
-        .items
+    let timings: Vec<RequestTiming> = items
         .iter()
         .map(|p| RequestTiming {
             queue_wait: dequeued.saturating_duration_since(p.enqueued),
@@ -329,8 +327,8 @@ fn serve_batch(
     // recorded first, so a traced client that has seen its response is
     // guaranteed the full five-stage trace is already in the sink — the
     // same barrier discipline as the ledger above.
-    record_spans(cfg, &batch.items, SpanStage::ResponseScatter, done, None);
-    for ((i, p), timing) in batch.items.into_iter().enumerate().zip(timings) {
+    record_spans(cfg, &items, SpanStage::ResponseScatter, done, None);
+    for ((i, p), timing) in items.into_iter().enumerate().zip(timings) {
         let row = ys[i * classes..(i + 1) * classes].to_vec();
         let _ = p.resp.send(Ok(InferResponse {
             output: Tensor::from_vec(vec![1, classes], row),

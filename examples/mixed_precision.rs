@@ -15,7 +15,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use odq::core::engine::OdqEngine;
 use odq::nn::models::{Model, ModelCfg};
@@ -82,16 +81,12 @@ fn main() {
     // 5. Serve through a policy-routed engine. The deployment carries the
     //    published policy, so a future hot swap to a version published
     //    with a different policy re-routes atomically with the weights.
-    let server = Server::builder(ServeConfig {
-        max_batch: 4,
-        max_wait: Duration::from_micros(300),
-        workers: 2,
-        ..ServeConfig::default()
-    })
-    .engine(EngineKind::Policy(Arc::new(policy)))
-    .registry(registry)
-    .serve("resnet")
-    .start();
+    let server =
+        Server::builder(ServeConfig { max_batch: 4, workers: 2, ..ServeConfig::default() })
+            .engine(EngineKind::Policy(Arc::new(policy)))
+            .registry(registry)
+            .serve("resnet")
+            .start();
 
     for i in 0..12 {
         let resp = server

@@ -16,7 +16,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use odq::net::{NetClient, NetConfig, NetServer};
 use odq::nn::models::{Model, ModelCfg};
@@ -48,7 +47,6 @@ fn main() {
     //    the metrics endpoint attached.
     let traces = Arc::new(TraceBuffer::sample_all(4096));
     let server = Server::builder(ServeConfig {
-        max_wait: Duration::from_micros(300),
         trace: Some(Arc::clone(&traces) as Arc<dyn TraceSink>),
         ..ServeConfig::default()
     })

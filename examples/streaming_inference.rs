@@ -5,8 +5,8 @@
 //!
 //! A camera produces frames at a fixed rate and submits each one to a
 //! running [`odq::serve::Server`] with a per-frame deadline (the next
-//! frame's arrival). Frames flow through the bounded admission queue, the
-//! micro-batcher, and an engine-owning worker pool; each frame's response
+//! frame's arrival). Frames flow through the bounded admission queue to an
+//! engine-owning worker pool that takes them in batches; each frame's response
 //! carries its measured queue wait and service time, and the server's
 //! ledger reports what every served batch would cost on the ODQ
 //! accelerator (cycles + energy from the Table 2 simulator).
@@ -51,7 +51,6 @@ fn main() {
     let server = Server::builder(ServeConfig {
         queue_depth: 32,
         max_batch: 4,
-        max_wait: deadline / 4,
         workers: 2,
         default_deadline: Some(deadline),
         simulate_accel: true,

@@ -12,14 +12,15 @@
 //! rejections, and the per-batch simulated accelerator cost (cycles and
 //! energy on the engine's Table 2 configuration).
 //!
-//! Percentiles come from two places: the load report's are exact
-//! (client-side, sorted samples), while the server ledger's are streamed
-//! through log-bucketed histograms with ≤12.5% relative error — see the
-//! README's "interpreting serve_bench percentiles" note.
+//! Percentiles come from two places: the load report's are client-side
+//! (each request timed from just before submit to the moment its reply
+//! resolves), the server ledger's are server-side; both stream through
+//! log-bucketed histograms with ≤12.5% relative error — see the README's
+//! "interpreting serve_bench percentiles" note.
 //!
 //! After both phases the bench writes a machine-readable snapshot
 //! (`BENCH_serve.json` by default, `--out PATH` to move it, `--out -` to
-//! skip): per-phase throughput, exact client-side p50/p95/p99, reject and
+//! skip): per-phase throughput, client-side p50/p95/p99, reject and
 //! deadline-miss counts, plus the server's own ledger JSON — the file CI
 //! and regression tooling diff against the committed snapshot.
 //!
@@ -134,7 +135,6 @@ fn start_server(a: &Args, traces: Option<Arc<TraceBuffer>>) -> Server {
     let cfg = ServeConfig {
         queue_depth: 64,
         max_batch: a.max_batch,
-        max_wait: Duration::from_millis(2),
         workers: a.workers,
         simulate_accel: true,
         trace: traces.map(|t| t as Arc<dyn TraceSink>),
@@ -200,7 +200,7 @@ fn print_phase(name: &str, r: &LoadReport, s: &StatsSummary, json: bool) {
         r.elapsed.as_secs_f64()
     );
     println!(
-        "{:<26} p50 {:>8.2} ms   p95 {:>8.2} ms   p99 {:>8.2} ms  (exact, client-side)",
+        "{:<26} p50 {:>8.2} ms   p95 {:>8.2} ms   p99 {:>8.2} ms  (client-side)",
         "latency",
         r.latency_percentile(0.50).as_secs_f64() * 1e3,
         r.latency_percentile(0.95).as_secs_f64() * 1e3,
@@ -256,7 +256,7 @@ fn print_phase(name: &str, r: &LoadReport, s: &StatsSummary, json: bool) {
     }
 }
 
-/// One phase's snapshot entry: client-side exact percentiles and outcome
+/// One phase's snapshot entry: client-side percentiles and outcome
 /// counts, plus the server ledger's own JSON tree.
 fn phase_json(r: &LoadReport, sum: &StatsSummary) -> Value {
     let ms = |d: std::time::Duration| Value::F64(d.as_secs_f64() * 1e3);

@@ -15,8 +15,6 @@
 //! 3. a serve round-trip — catch divergence introduced by batching,
 //!    plan caches, or worker scatter in `odq-serve`.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -94,7 +92,6 @@ fn serve_round_trip_matches_oracle_forward() {
         let server = Server::builder(ServeConfig {
             queue_depth: 64,
             max_batch: 4,
-            max_wait: Duration::from_micros(300),
             workers: 2,
             default_deadline: None,
             simulate_accel: false,

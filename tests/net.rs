@@ -17,7 +17,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ use odq::net::{NetClient, NetConfig, NetServer};
 use odq::nn::models::{Model, ModelCfg};
 use odq::nn::policy::{PrecisionPolicy, Route};
 use odq::nn::Arch;
-use odq::serve::{EngineKind, InferRequest, ServeConfig, ServeError, Server};
+use odq::serve::{EngineKind, FaultHook, InferRequest, ServeConfig, ServeError, Server};
 use odq::tensor::Tensor;
 
 fn lenet(seed: u64) -> Model {
@@ -51,7 +51,7 @@ fn start_net(kind: EngineKind, cfg: ServeConfig, net: NetConfig) -> NetServer {
 }
 
 fn fast_cfg() -> ServeConfig {
-    ServeConfig { max_wait: Duration::from_micros(200), ..ServeConfig::default() }
+    ServeConfig::default()
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -300,13 +300,10 @@ proptest! {
 
 #[test]
 fn graceful_drain_answers_every_inflight_request() {
-    // A wide batching window keeps requests parked in the batcher, so
-    // the drain has real in-flight work to answer.
-    let cfg = ServeConfig {
-        max_wait: Duration::from_millis(150),
-        max_batch: 64,
-        ..ServeConfig::default()
-    };
+    // Some of the 16 may still be in flight when the drain starts; either
+    // way each is answered exactly once. The next test holds them at the
+    // worker so the drain provably has in-flight work.
+    let cfg = ServeConfig { max_batch: 64, ..ServeConfig::default() };
     let ns = start_net(EngineKind::Odq { threshold: 0.3 }, cfg, NetConfig::default());
     let client = NetClient::connect(ns.local_addr()).expect("connect");
 
@@ -339,6 +336,65 @@ fn graceful_drain_answers_every_inflight_request() {
     assert_eq!(sum.completed, 16);
     assert_eq!(sum.net.frames_in, 16);
     assert_eq!(sum.net.frames_out, 16);
+    assert_eq!(sum.net.connections_opened, sum.net.connections_closed);
+}
+
+/// Holds the first batch at its worker until released.
+#[derive(Debug)]
+struct HoldFirstBatch(Mutex<Option<mpsc::Receiver<()>>>);
+
+impl FaultHook for HoldFirstBatch {
+    fn should_panic(&self, nth: u64, _model: &str, _version: u64) -> bool {
+        if nth == 1 {
+            if let Some(release) = self.0.lock().unwrap().take() {
+                let _ = release.recv();
+            }
+        }
+        false
+    }
+}
+
+/// The drain must answer requests that are provably unanswered when it
+/// starts: the only worker is held inside its first batch, the rest wait
+/// in the queue, and the hold is released only once the accept loop has
+/// closed — so the drain is under way with all of them in flight.
+#[test]
+fn drain_answers_requests_held_at_a_busy_worker() {
+    let (release, held) = mpsc::channel();
+    let cfg = ServeConfig {
+        workers: 1,
+        max_batch: 4,
+        fault_hook: Some(Arc::new(HoldFirstBatch(Mutex::new(Some(held))))),
+        ..ServeConfig::default()
+    };
+    let ns = start_net(EngineKind::Float, cfg, NetConfig::default());
+    let addr = ns.local_addr();
+    let client = NetClient::connect(addr).expect("connect");
+    let handles: Vec<_> =
+        (0..12).map(|i| client.submit(InferRequest::new("lenet", image(i))).unwrap()).collect();
+    for _ in 0..500 {
+        if ns.server().stats().admitted == 12 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let before = ns.server().stats();
+    assert_eq!((before.admitted, before.completed), (12, 0), "all admitted, none answered");
+
+    let drain = std::thread::spawn(move || ns.shutdown());
+    // A refused connect means the accept loop has exited: the drain has
+    // begun, with every request still in flight.
+    while TcpStream::connect(addr).is_ok() {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    release.send(()).unwrap();
+    let sum = drain.join().expect("drain completes");
+
+    for h in handles {
+        assert_eq!(h.wait().expect("drain must answer, not abandon").output.dims(), &[1, 4]);
+    }
+    assert_eq!(sum.completed, 12);
+    assert_eq!(sum.net.frames_out, 12);
     assert_eq!(sum.net.connections_opened, sum.net.connections_closed);
 }
 
@@ -382,11 +438,7 @@ fn connection_cap_refuses_with_a_typed_frame_and_slots_recycle() {
 
 #[test]
 fn client_maps_duplicate_ids_and_dead_connections() {
-    let ns = start_net(
-        EngineKind::Float,
-        ServeConfig { max_wait: Duration::from_millis(100), ..ServeConfig::default() },
-        NetConfig::default(),
-    );
+    let ns = start_net(EngineKind::Float, ServeConfig::default(), NetConfig::default());
     let client = NetClient::connect(ns.local_addr()).expect("connect");
     let h = client.submit(InferRequest::new("lenet", image(0)).with_id(7)).unwrap();
     // Same id while the first is still (possibly) in flight: refused

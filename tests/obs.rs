@@ -15,7 +15,6 @@
 //!    headers, and the uptime/queue-depth gauges.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use odq::nn::models::{Model, ModelCfg};
 use odq::nn::Arch;
@@ -42,7 +41,6 @@ fn obs_server(traces: Arc<TraceBuffer>) -> Server {
     let cfg = ServeConfig {
         queue_depth: 64,
         max_batch: 4,
-        max_wait: Duration::from_micros(200),
         workers: 1,
         simulate_accel: true,
         trace: Some(traces as Arc<dyn TraceSink>),

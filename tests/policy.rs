@@ -58,12 +58,7 @@ fn per_layer_odq_thresholds_serve_bit_identically_to_with_per_layer() {
     let reg = Arc::new(ModelRegistry::new());
     reg.publish_with_policy("lenet", lenet(5), vec![], Some(per_layer_odq_policy())).unwrap();
 
-    let cfg = ServeConfig {
-        max_batch: 4,
-        max_wait: Duration::from_micros(200),
-        workers: 2,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { max_batch: 4, workers: 2, ..Default::default() };
     let server = Server::builder(cfg)
         .engine(EngineKind::Policy(Arc::clone(&policy)))
         .registry(Arc::clone(&reg))
@@ -112,13 +107,7 @@ fn policy_hot_swap_under_load_never_tears_and_reports_per_route_stats() {
     let reg = Arc::new(ModelRegistry::new());
     let v1 = reg.publish_with_policy("m", lenet(1), vec![], Some(policy_a())).unwrap();
 
-    let cfg = ServeConfig {
-        queue_depth: 256,
-        max_batch: 4,
-        max_wait: Duration::from_micros(300),
-        workers: 2,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { queue_depth: 256, max_batch: 4, workers: 2, ..Default::default() };
     // Started while only v1 exists, so the server comes up serving v1.
     let server = Arc::new(
         Server::builder(cfg)

@@ -102,13 +102,7 @@ fn version_of(
 /// the summary and the JSON.
 #[test]
 fn hot_swap_under_sustained_load_never_tears_a_response() {
-    let cfg = ServeConfig {
-        queue_depth: 256,
-        max_batch: 4,
-        max_wait: Duration::from_micros(300),
-        workers: 2,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { queue_depth: 256, max_batch: 4, workers: 2, ..Default::default() };
     let server =
         Arc::new(Server::builder(cfg).engine(EngineKind::Float).model("lenet", lenet(1)).start());
     let v2 = server.registry().publish("lenet", lenet(2), vec![]).unwrap();
@@ -192,12 +186,11 @@ fn hot_swap_under_sustained_load_never_tears_a_response() {
 fn gated_shared_registry_blocks_bad_checkpoints_from_serving() {
     let reg = Arc::new(ModelRegistry::gated(FiniteGate));
     reg.publish("lenet", lenet(1), vec![]).unwrap();
-    let server =
-        Server::builder(ServeConfig { max_wait: Duration::from_micros(100), ..Default::default() })
-            .engine(EngineKind::Float)
-            .registry(Arc::clone(&reg))
-            .serve("lenet")
-            .start();
+    let server = Server::builder(ServeConfig::default())
+        .engine(EngineKind::Float)
+        .registry(Arc::clone(&reg))
+        .serve("lenet")
+        .start();
 
     let mut bad = lenet(9);
     bad.visit_params(&mut |p| p.value.as_mut_slice()[0] = f32::NAN);
@@ -250,7 +243,6 @@ proptest! {
         let cfg = ServeConfig {
             queue_depth: 256,
             max_batch: 4,
-            max_wait: Duration::from_micros(200),
             workers: 2,
             ..Default::default()
         };
@@ -311,8 +303,7 @@ fn canary_split_is_deterministic_and_accounted_per_version() {
         assert_eq!(split.picks_canary(id), split.picks_canary(id));
     }
 
-    let cfg =
-        ServeConfig { max_wait: Duration::from_micros(100), max_batch: 4, ..Default::default() };
+    let cfg = ServeConfig { max_batch: 4, ..Default::default() };
     let server = Server::builder(cfg).engine(EngineKind::Float).model("m", lenet(1)).start();
     let v2 = server.registry().publish("m", lenet(2), vec![]).unwrap();
     server.canary("m", v2, split).unwrap();
@@ -357,13 +348,10 @@ fn retiring_warm_previous_fails_redeploy_typed_but_rollback_stays_bit_exact() {
     use odq::registry::RegistryError;
     use odq::serve::DeployError;
 
-    let server = Server::builder(ServeConfig {
-        max_wait: Duration::from_micros(200),
-        ..ServeConfig::default()
-    })
-    .engine(EngineKind::Float)
-    .model("lenet", lenet(1))
-    .start();
+    let server = Server::builder(ServeConfig { ..ServeConfig::default() })
+        .engine(EngineKind::Float)
+        .model("lenet", lenet(1))
+        .start();
 
     let forward = |server: &Server, i: usize| {
         bits(&server.submit(InferRequest::new("lenet", image(i))).unwrap().wait().unwrap().output)

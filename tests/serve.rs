@@ -1,7 +1,7 @@
 //! Serving-subsystem integration properties.
 //!
-//! 1. **Batching invariance** — whatever way the micro-batcher interleaves
-//!    and coalesces requests, every response is *element-wise identical*
+//! 1. **Batching invariance** — whatever way the workers interleave
+//!    and coalesce requests, every response is *element-wise identical*
 //!    (exact f32 equality, not approximate) to running that input alone
 //!    through a fresh engine. This holds because convolution is per-sample
 //!    im2col/GEMM and every quantization scale is batch-independent.
@@ -60,7 +60,7 @@ fn serve_engine(kind: u8) -> EngineKind {
 /// stays under a fixed byte budget and does not grow between the 200th and
 /// the 100_200th request, while counters and percentiles stay correct.
 ///
-/// Most of the flood carries an already-expired deadline, so the batcher
+/// Most of the flood carries an already-expired deadline, so the queue
 /// and workers process every request (admission, grouping, dequeue,
 /// rejection accounting) without paying for 100k debug-mode forward
 /// passes; a served prefix populates the latency histograms for real.
@@ -74,7 +74,6 @@ fn ledger_memory_is_constant_over_100k_requests() {
     let server = Server::builder(ServeConfig {
         queue_depth: 256,
         max_batch: 64,
-        max_wait: Duration::from_micros(100),
         workers: 2,
         default_deadline: None,
         simulate_accel: false,
@@ -167,7 +166,6 @@ proptest! {
         let server = Server::builder(ServeConfig {
             queue_depth: 64,
             max_batch,
-            max_wait: Duration::from_micros(300),
             workers,
             default_deadline: None,
             simulate_accel: false,
@@ -222,8 +220,6 @@ proptest! {
         let server = Server::builder(ServeConfig {
             queue_depth: 64,
             max_batch,
-            // Longer than the test: batches flush by size or by drain.
-            max_wait: Duration::from_secs(5),
             workers,
             default_deadline: None,
             simulate_accel: false,

@@ -75,7 +75,6 @@ fn injected_panic_answers_batch_and_pool_recovers() {
     let cfg = ServeConfig {
         queue_depth: 64,
         max_batch: 4,
-        max_wait: Duration::from_millis(100),
         workers: 2,
         simulate_accel: false,
         fault_panic_on_batch: Some(1),
@@ -87,7 +86,7 @@ fn injected_panic_answers_batch_and_pool_recovers() {
         (0..4).map(|i| s.submit(InferRequest::new("lenet", image(i))).unwrap()).collect();
     let mut internal = 0u64;
     for h in handles {
-        // The batcher may split the burst across batches: members of the
+        // The workers may split the burst across batches: members of the
         // sabotaged batch see Internal, the rest are served normally.
         match h.wait() {
             Err(ServeError::Internal) => internal += 1,
@@ -128,7 +127,6 @@ proptest! {
         let cfg = ServeConfig {
             queue_depth,
             max_batch,
-            max_wait: Duration::from_micros(300),
             workers,
             default_deadline: None,
             simulate_accel: false,
@@ -149,7 +147,7 @@ proptest! {
                 // Expired on arrival: must be rejected, never executed.
                 req = req.with_deadline(Duration::ZERO);
             } else if roll < expired_pct.saturating_add(20) {
-                // Tight deadline: races the batcher, either outcome is
+                // Tight deadline: races the workers, either outcome is
                 // legal, but there must be exactly one.
                 req = req.with_deadline(Duration::from_micros(rng.gen_range(1..2_000)));
             }
